@@ -26,8 +26,7 @@ store::EngineStats GridGraphEngine::run(store::TileAlgorithm& algo) {
   // Cached blocks are served before streaming (the engine's only cache-hit
   // path); the *policy* — recency instead of algorithmic metadata — is what
   // distinguishes this baseline, per the paper's §VIII comparison.
-  cfg.rewind = true;
-  cfg.selective_fetch = true;  // block-level selective scheduling
+  cfg.rewind = true;  // grid mode always selects blocks via tile_needed
   return store::ScrEngine(store_, cfg).run(algo);
 }
 

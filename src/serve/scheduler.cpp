@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <exception>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -12,7 +11,7 @@
 #include "store/cache_pool.h"
 #include "store/chunking.h"
 #include "store/memory_budget.h"
-#include "store/segment.h"
+#include "store/tile_stream.h"
 #include "tile/overlay.h"
 #include "util/dcheck.h"
 #include "util/logging.h"
@@ -26,7 +25,6 @@ namespace {
 using store::CachePool;
 using store::Chunk;
 using store::Segment;
-using store::TileSlot;
 
 // Subscriber set: bit k = gang slot k wants this tile. Bounded by
 // SharedScheduler::kMaxGang == 64.
@@ -40,17 +38,8 @@ void for_bits(Mask m, Fn&& fn) {
   }
 }
 
-// Tags encode which segment a read belongs to so completions can be
-// attributed while both segments have I/O in flight (same scheme as
-// ScrEngine).
-constexpr std::uint64_t make_tag(int segment, std::uint64_t serial) {
-  GSTORE_DCHECK(segment == 0 || segment == 1);
-  GSTORE_DCHECK_LT(serial, 1ull << 56);
-  return (static_cast<std::uint64_t>(segment) << 56) | serial;
-}
-constexpr int tag_segment(std::uint64_t tag) {
-  return static_cast<int>(tag >> 56);
-}
+// A job still running after this many rounds fails.
+constexpr std::uint32_t kMaxIterations = 100000;
 
 }  // namespace
 
@@ -65,11 +54,8 @@ struct SharedScheduler::Runner {
         budget(store::MemoryBudget::compute(config.stream_memory_bytes,
                                             config.segment_bytes)),
         pool(budget.pool_bytes),
-        overlay(store.overlay()) {
-    const std::uint64_t cap =
-        std::max<std::uint64_t>(budget.segment_bytes, store.max_tile_bytes());
-    segments[0] = Segment(cap);
-    segments[1] = Segment(cap);
+        overlay(store.overlay()),
+        stream(store, budget.segment_bytes) {
     // The snapshot's overlay is a frozen copy — its tile list is stable for
     // the whole gang.
     if (overlay != nullptr) overlay_tiles = overlay->nonempty_tiles();
@@ -112,7 +98,6 @@ struct SharedScheduler::Runner {
   // ---- per-tile oracles over the gang ------------------------------------
 
   Mask needed_mask(std::uint64_t layout_idx) const {
-    if (!config.selective_fetch) return occupied;
     const tile::TileCoord c = grid.coord_at(layout_idx);
     Mask m = 0;
     for_bits(occupied, [&](std::size_t k) {
@@ -152,39 +137,26 @@ struct SharedScheduler::Runner {
     });
   }
 
-  // An exception cannot unwind through an OpenMP region (the runtime would
-  // terminate the daemon), and since v3 the decode inside dispatch can throw
-  // FormatError on a corrupt payload — as can a job's kernel. Workers capture
-  // the first exception here; the scheduler thread rethrows after the region
-  // joins, and run()'s gang-level catch downs the jobs while the daemon
-  // survives.
-  std::exception_ptr scan_error;
-
-  void dispatch_captured(std::uint64_t layout_idx, const std::uint8_t* data,
-                         Mask mask) noexcept {
-    try {
-      dispatch(layout_idx, data, mask);
-    } catch (...) {
-#ifdef _OPENMP
-#pragma omp critical(gstore_serve_scan_error)
-#endif
-      if (scan_error == nullptr) scan_error = std::current_exception();
-    }
-  }
-
-  void rethrow_scan_error() {
-    if (scan_error == nullptr) return;
-    std::exception_ptr e = std::exchange(scan_error, nullptr);
-    std::rethrow_exception(e);
-  }
-
-  // Sequentially folds one dispatched batch into per-job and gang counters
-  // (kernel fan-out is parallel; bookkeeping is not).
-  void account_dispatches(const std::vector<std::uint64_t>& indices,
-                          const std::vector<Mask>& masks) {
-    for (std::size_t k = 0; k < indices.size(); ++k) {
-      const std::uint64_t base = store.tile_edge_count(indices[k]);
-      const std::uint64_t extra = overlay_count(indices[k]);
+  // Runs every tile's subscribed kernels in parallel (cached entries, a
+  // segment's slots, or overlay-only tiles with null data), then folds the
+  // deliveries into per-job and gang counters sequentially. masks[k] is the
+  // subscriber set of tiles[k].
+  void dispatch_tiles(const std::vector<CachePool::Entry>& tiles,
+                      const Mask* masks) {
+    if (tiles.empty()) return;
+    Timer t;
+    costs.clear();
+    for (std::size_t k = 0; k < tiles.size(); ++k)
+      costs.push_back((store.tile_edge_count(tiles[k].layout_idx) +
+                       overlay_count(tiles[k].layout_idx)) *
+                      static_cast<std::uint64_t>(std::popcount(masks[k])));
+    store::parallel_for_costs(costs, chunks, [&](std::size_t k) {
+      dispatch(tiles[k].layout_idx, tiles[k].data, masks[k]);
+    });
+    gang.compute_seconds += t.seconds();
+    for (std::size_t k = 0; k < tiles.size(); ++k) {
+      const std::uint64_t base = store.tile_edge_count(tiles[k].layout_idx);
+      const std::uint64_t extra = overlay_count(tiles[k].layout_idx);
       for_bits(masks[k], [&](std::size_t j) {
         Slot& s = slots[j];
         s.stats.edges_processed += base + extra;
@@ -196,155 +168,18 @@ struct SharedScheduler::Runner {
     }
   }
 
-  // ---- I/O (double-buffered slide, shared with every subscriber) ---------
-
-  std::size_t fill_and_submit(int s, const std::vector<std::uint64_t>& fetch,
-                              const std::vector<Mask>& fetch_masks,
-                              std::size_t& pos) {
-    Segment& seg = segments[s];
-    seg_masks[s].clear();
-    if (pos >= fetch.size()) {
-      seg.clear();
-      return 0;
-    }
-    seg.begin_fill();
-    seg.ensure_capacity(store.tile_bytes(fetch[pos]));
-    while (pos < fetch.size() &&
-           seg.try_add(fetch[pos], store.tile_bytes(fetch[pos]))) {
-      seg_masks[s].push_back(fetch_masks[pos]);
-      ++pos;
-    }
-
-    // Coalesce layout-consecutive runs into single requests — contiguous in
-    // file and buffer alike (segment packing invariant).
-    std::vector<io::ReadRequest> batch;
-    const auto& sl = seg.slots();
-    std::size_t run_begin = 0;
-    auto flush_run = [&](std::size_t run_end) {
-      const TileSlot& first = sl[run_begin];
-      const TileSlot& last = sl[run_end - 1];
-      io::ReadRequest req;
-      req.offset = store.tile_offset(first.layout_idx);
-      req.length =
-          static_cast<std::size_t>(last.offset + last.bytes - first.offset);
-      req.buffer = seg.slot_data(first);
-      req.tag = make_tag(s, next_serial++);
-      batch.push_back(req);
-      run_begin = run_end;
-    };
-    for (std::size_t k = 1; k < sl.size(); ++k) {
-      GSTORE_DCHECK_EQ(sl[k].offset, sl[k - 1].offset + sl[k - 1].bytes);
-      if (sl[k].layout_idx != sl[k - 1].layout_idx + 1) flush_run(k);
-    }
-    if (!sl.empty()) flush_run(sl.size());
-
-    gang.tiles_fetched += sl.size();
-    if (batch.empty()) return 0;
-    ++gang.io_batches;
-    if (config.overlap_io) {
-      const std::size_t n_requests = batch.size();
-      for (const auto& req : batch)
-        inflight.emplace(req.tag, InFlightRead{req, 0});
-      store.device().submit(std::move(batch));
-      return n_requests;
-    }
-    Timer t;
-    for (const auto& req : batch)
-      store.device().read(req.buffer, req.length, req.offset);
-    gang.io_wait_seconds += t.seconds();
-    return 0;
-  }
-
-  void wait_segment(int s) {
-    Timer t;
-    while (pending[s] > 0) {
-      completions_scratch.clear();
-      store.device().poll(1, 64, completions_scratch);
-      for (const io::Completion& c : completions_scratch)
-        handle_completion(c);
-    }
-    gang.io_wait_seconds += t.seconds();
-    if (!read_failures.empty()) fail_round();
-  }
-
-  void handle_completion(const io::Completion& c) {
-    const int seg = tag_segment(c.tag);
-    GSTORE_DCHECK(seg == 0 || seg == 1);
-    GSTORE_DCHECK_GT(pending[seg], 0);
-    --pending[seg];
-    const auto it = inflight.find(c.tag);
-    GSTORE_DCHECK(it != inflight.end());
-    if (it == inflight.end()) return;
-    InFlightRead& r = it->second;
-    if (c.ok && c.bytes == r.req.length) {
-      inflight.erase(it);
-      return;
-    }
-    if (r.attempts < config.read_retry_budget) {
-      ++r.attempts;
-      ++gang.tile_resubmits;
-      std::vector<io::ReadRequest> one{r.req};
-      store.device().submit(std::move(one));
-      ++pending[seg];
-      return;
-    }
-    const std::string why =
-        !c.ok ? (c.message.empty() ? "read failed" : c.message)
-              : ("truncated read: " + std::to_string(c.bytes) + "/" +
-                 std::to_string(r.req.length) + " bytes");
-    read_failures.push_back("tile read at offset " +
-                            std::to_string(r.req.offset) + " (tag " +
-                            std::to_string(c.tag) + "): " + why);
-    inflight.erase(it);
-  }
-
-  [[noreturn]] void fail_round() {
-    quiesce_all();
-    std::string msg = "gang round aborted: " +
-                      std::to_string(read_failures.size()) +
-                      " tile read(s) failed past the retry budget";
-    for (const auto& f : read_failures) msg += "; " + f;
-    read_failures.clear();
-    throw IoError(msg, EIO);
-  }
-
-  // Unwind-path barrier: waits out every in-flight read for both segments
-  // without throwing, then resets the double-buffer bookkeeping. No
-  // exception may unwind while I/O workers can write into segment buffers.
-  void quiesce_all() noexcept {
-    store.device().quiesce();
-    pending[0] = pending[1] = 0;
-    inflight.clear();
-  }
-
   // ---- compute + shared-cache admission ----------------------------------
 
-  void process_segment(int s) {
-    Segment& seg = segments[s];
+  // One streamed segment; its slots hold fetch[first..], so their
+  // subscriber sets are fetch_masks[first..].
+  void process_segment(const Segment& seg, std::size_t first) {
     const auto& sl = seg.slots();
-    const std::vector<Mask>& masks = seg_masks[s];
-    GSTORE_DCHECK_EQ(sl.size(), masks.size());
-    Timer t;
-    slot_costs.clear();
-    slot_costs.reserve(sl.size());
-    for (std::size_t k = 0; k < sl.size(); ++k)
-      slot_costs.push_back(
-          (store.tile_edge_count(sl[k].layout_idx) +
-           overlay_count(sl[k].layout_idx)) *
-          static_cast<std::uint64_t>(std::popcount(masks[k])));
-    cost_chunks(slot_costs, chunks);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic)
-#endif
-    for (std::size_t c = 0; c < chunks.size(); ++c) {
-      for (std::size_t k = chunks[c].begin; k < chunks[c].end; ++k)
-        dispatch_captured(sl[k].layout_idx, seg.slot_data(sl[k]), masks[k]);
-    }
-    rethrow_scan_error();  // before pinning possibly-corrupt tiles below
-    gang.compute_seconds += t.seconds();
-    scratch_indices.clear();
-    for (const auto& slot : sl) scratch_indices.push_back(slot.layout_idx);
-    account_dispatches(scratch_indices, masks);
+    seg_tiles.clear();
+    for (const auto& slot : sl)
+      seg_tiles.push_back({slot.layout_idx, seg.slot_data(slot), slot.bytes});
+    GSTORE_DCHECK_LE(first + sl.size(), fetch_masks.size());
+    // Throws before any possibly-corrupt tile below is pinned.
+    dispatch_tiles(seg_tiles, fetch_masks.data() + first);
 
     // CACHE: shared-pool admission under per-job quotas. Each admitted tile
     // pins a zero-copy slice of the segment buffer; its cost is split
@@ -386,16 +221,16 @@ struct SharedScheduler::Runner {
   // that gained subscribers get cheaper for everyone).
   void analyze_cache() {
     if (pool.budget() == 0) return;
-    scratch_indices.clear();
+    orphans.clear();
     for (auto& [idx, info] : cache_info) {
       const Mask nm = useful_next_mask(idx);
       if (nm == 0) {
-        scratch_indices.push_back(idx);
+        orphans.push_back(idx);
       } else {
         info.mask = nm;
       }
     }
-    for (const std::uint64_t idx : scratch_indices) {
+    for (const std::uint64_t idx : orphans) {
       pool.erase(idx);
       cache_info.erase(idx);
     }
@@ -409,144 +244,68 @@ struct SharedScheduler::Runner {
 
   // ---- one gang round ----------------------------------------------------
 
+  // The shared slide–cache–rewind pass of ScrEngine, over the union of the
+  // active jobs' needed tiles: cached tiles are dispatched first (REWIND,
+  // no I/O), the rest stream once through the TileStream for every
+  // subscriber, and overlay tiles with no base bytes get a no-I/O pass.
   void run_round() {
     for_bits(occupied,
              [&](std::size_t k) { slots[k].job.algo->begin_iteration(slots[k].iter); });
 
-    // REWIND: dispatch cached tiles to this round's subscribers, no I/O.
-    std::vector<std::uint64_t> cached_indices;
-    if (config.rewind && pool.tile_count() > 0) {
-      Timer t;
-      rewind_entries.clear();
+    pooled.clear();
+    if (config.rewind) {
       pool.for_each_entry(
-          [&](const CachePool::Entry& e) { rewind_entries.push_back(e); });
-      cached_indices.reserve(rewind_entries.size());
-      for (const auto& e : rewind_entries)
-        cached_indices.push_back(e.layout_idx);
-      rewind_masks.clear();
-      for (const auto& e : rewind_entries)
-        rewind_masks.push_back(needed_mask(e.layout_idx));
-      // Unwanted-this-round entries stay cached (and excluded from the
-      // fetch list) but are not dispatched.
-      for (std::size_t k = 0; k < rewind_entries.size();) {
-        if (rewind_masks[k] == 0) {
-          rewind_entries[k] = rewind_entries.back();
-          rewind_entries.pop_back();
-          rewind_masks[k] = rewind_masks.back();
-          rewind_masks.pop_back();
-        } else {
-          ++k;
-        }
-      }
-      slot_costs.clear();
-      slot_costs.reserve(rewind_entries.size());
-      for (std::size_t k = 0; k < rewind_entries.size(); ++k)
-        slot_costs.push_back(
-            (store.tile_edge_count(rewind_entries[k].layout_idx) +
-             overlay_count(rewind_entries[k].layout_idx)) *
-            static_cast<std::uint64_t>(std::popcount(rewind_masks[k])));
-      cost_chunks(slot_costs, chunks);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic)
-#endif
-      for (std::size_t c = 0; c < chunks.size(); ++c) {
-        for (std::size_t k = chunks[c].begin; k < chunks[c].end; ++k)
-          dispatch_captured(rewind_entries[k].layout_idx,
-                            rewind_entries[k].data, rewind_masks[k]);
-      }
-      rethrow_scan_error();
-      gang.compute_seconds += t.seconds();
-      scratch_indices.clear();
-      for (const auto& e : rewind_entries)
-        scratch_indices.push_back(e.layout_idx);
-      account_dispatches(scratch_indices, rewind_masks);
-      for (const auto& e : rewind_entries) {
-        pool.touch(e.layout_idx);
-        gang.tiles_from_cache += static_cast<std::uint64_t>(
-            std::popcount(rewind_masks[&e - rewind_entries.data()]));
-      }
-      std::sort(cached_indices.begin(), cached_indices.end());
-    } else if (!config.rewind) {
+          [&](const CachePool::Entry& e) { pooled.push_back(e); });
+    } else {
       pool.clear();
       cache_info.clear();
       charged.fill(0);
     }
 
-    // Fetch list: the union of the active jobs' needed tiles, minus what
-    // the cache already served, in layout order.
-    std::vector<std::uint64_t> fetch;
-    std::vector<Mask> fetch_masks;
-    {
-      std::size_t ci = 0;
-      for (std::uint64_t idx = 0; idx < grid.tile_count(); ++idx) {
-        while (ci < cached_indices.size() && cached_indices[ci] < idx) ++ci;
-        const bool in_cache =
-            ci < cached_indices.size() && cached_indices[ci] == idx;
-        if (in_cache) continue;
-        if (store.tile_bytes(idx) == 0) continue;
-        const Mask m = needed_mask(idx);
-        if (m == 0) {
-          ++gang.tiles_skipped;
-          continue;
-        }
+    // Layout scan: each tile with data goes to the cached, fetch or
+    // overlay-only list under its subscriber set. Cached tiles nobody wants
+    // this round stay cached but are not dispatched; stored tiles neither
+    // wanted nor cached are skipped.
+    cached.clear();
+    cached_masks.clear();
+    fetch.clear();
+    fetch_masks.clear();
+    delta_only.clear();
+    delta_masks.clear();
+    std::size_t ci = 0;
+    for (std::uint64_t idx = 0; idx < grid.tile_count(); ++idx) {
+      const bool base = store.tile_bytes(idx) != 0;
+      if (!base && !std::binary_search(overlay_tiles.begin(),
+                                       overlay_tiles.end(), idx))
+        continue;
+      while (ci < pooled.size() && pooled[ci].layout_idx < idx) ++ci;
+      const bool in_pool = ci < pooled.size() && pooled[ci].layout_idx == idx;
+      const Mask m = needed_mask(idx);
+      if (m == 0) {
+        if (base && !in_pool) ++gang.tiles_skipped;
+      } else if (in_pool) {
+        cached.push_back(pooled[ci]);
+        cached_masks.push_back(m);
+      } else if (base) {
         fetch.push_back(idx);
         fetch_masks.push_back(m);
-      }
-    }
-
-    // SLIDE: double-buffered shared stream. Quiesce before any exception
-    // escapes — I/O workers write into buffers this Runner owns.
-    std::size_t pos = 0;
-    int cur = 0;
-    pending[0] = pending[1] = 0;
-    try {
-      pending[cur] = fill_and_submit(cur, fetch, fetch_masks, pos);
-      while (!segments[cur].empty()) {
-        const int nxt = cur ^ 1;
-        GSTORE_DCHECK_EQ(pending[nxt], 0);
-        pending[nxt] = fill_and_submit(nxt, fetch, fetch_masks, pos);
-        wait_segment(cur);
-        process_segment(cur);
-        cur = nxt;
-      }
-    } catch (...) {
-      quiesce_all();
-      throw;
-    }
-    GSTORE_DCHECK_EQ(pos, fetch.size());
-    GSTORE_DCHECK_EQ(pending[0], 0);
-    GSTORE_DCHECK_EQ(pending[1], 0);
-
-    // Overlay tiles with no base bytes never hit the fetch list: no-I/O pass.
-    if (overlay != nullptr) {
-      Timer t;
-      std::vector<std::uint64_t> delta_only;
-      std::vector<Mask> delta_masks;
-      for (const std::uint64_t idx : overlay_tiles) {
-        if (store.tile_bytes(idx) != 0) continue;
-        const Mask m = needed_mask(idx);
-        if (m == 0) continue;
-        delta_only.push_back(idx);
+      } else {
+        delta_only.push_back({idx, nullptr, 0});
         delta_masks.push_back(m);
       }
-      slot_costs.clear();
-      slot_costs.reserve(delta_only.size());
-      for (std::size_t k = 0; k < delta_only.size(); ++k)
-        slot_costs.push_back(
-            overlay_count(delta_only[k]) *
-            static_cast<std::uint64_t>(std::popcount(delta_masks[k])));
-      cost_chunks(slot_costs, chunks);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic)
-#endif
-      for (std::size_t c = 0; c < chunks.size(); ++c) {
-        for (std::size_t k = chunks[c].begin; k < chunks[c].end; ++k)
-          dispatch_captured(delta_only[k], nullptr, delta_masks[k]);
-      }
-      rethrow_scan_error();
-      gang.compute_seconds += t.seconds();
-      account_dispatches(delta_only, delta_masks);
     }
+
+    dispatch_tiles(cached, cached_masks.data());
+    for (std::size_t k = 0; k < cached.size(); ++k) {
+      pool.touch(cached[k].layout_idx);
+      gang.tiles_from_cache +=
+          static_cast<std::uint64_t>(std::popcount(cached_masks[k]));
+    }
+    stream.slide(fetch, /*priority=*/0,
+                 [&](const Segment& seg, std::size_t first) {
+                   process_segment(seg, first);
+                 });
+    dispatch_tiles(delta_only, delta_masks.data());
 
     // End the round: every active job decides whether it wants another
     // iteration; finished jobs leave the gang before the cache analysis so
@@ -558,7 +317,7 @@ struct SharedScheduler::Runner {
       s.stats.iterations = s.iter;
       if (!more) {
         finish_slot(k, JobState::kDone, {});
-      } else if (s.iter >= config.max_iterations) {
+      } else if (s.iter >= kMaxIterations) {
         finish_slot(k, JobState::kFailed,
                     "did not converge within max_iterations");
       }
@@ -591,23 +350,26 @@ struct SharedScheduler::Runner {
     try {
       while (boundary()) run_round();
     } catch (const std::exception& e) {
-      // A gang-level failure (I/O past the retry budget) downs every job
-      // still on board; the daemon itself survives.
-      quiesce_all();
+      // A gang-level failure (I/O past the retry budget, a corrupt payload
+      // or a throwing kernel) downs every job still on board; the daemon
+      // itself survives. The stream has already drained its reads.
       const std::string why = e.what();
       GS_LOG(Warn) << "gang failed: " << why;
       for_bits(occupied,
                [&](std::size_t k) { finish_slot(k, JobState::kFailed, why); });
     }
     const io::DeviceStats dev = store.device().stats();
+    const store::StreamStats& io = stream.stats();
     gang.bytes_read = dev.bytes_read;
+    gang.tiles_fetched = io.tiles_fetched;
+    gang.io_batches = io.io_batches;
+    gang.tile_resubmits = io.tile_resubmits;
+    gang.io_wait_seconds = io.io_wait_seconds;
     gang.retries = dev.retries;
     gang.short_reads = dev.short_reads;
     gang.failed_reads = dev.failed_reads;
     gang.backoff_seconds = dev.backoff_seconds;
-    gang.bytes_copied_to_pool = pool.bytes_copied();
-    gang.segment_refreshes =
-        segments[0].buffer_refreshes() + segments[1].buffer_refreshes();
+    gang.segment_refreshes = stream.segment_refreshes();
     gang.elapsed_seconds = total.seconds();
     return gang;
   }
@@ -627,17 +389,7 @@ struct SharedScheduler::Runner {
   std::vector<Slot> slots;
   Mask occupied = 0;
 
-  Segment segments[2];
-  std::vector<Mask> seg_masks[2];
-  std::size_t pending[2] = {0, 0};
-  std::uint64_t next_serial = 0;
-  struct InFlightRead {
-    io::ReadRequest req;
-    int attempts = 0;
-  };
-  std::unordered_map<std::uint64_t, InFlightRead> inflight;
-  std::vector<std::string> read_failures;
-  std::vector<io::Completion> completions_scratch;
+  store::TileStream stream;
 
   // Shared-cache fairness bookkeeping (control thread only).
   struct CachedTile {
@@ -647,12 +399,19 @@ struct SharedScheduler::Runner {
   std::unordered_map<std::uint64_t, CachedTile> cache_info;
   std::array<std::uint64_t, kMaxGang> charged{};
 
-  // Reused per-phase scratch.
-  std::vector<std::uint64_t> slot_costs;
+  // Per-round scratch, reused so the steady state does not allocate. The
+  // *_masks vectors run parallel to the tile lists before them.
+  std::vector<CachePool::Entry> pooled;
+  std::vector<CachePool::Entry> cached;
+  std::vector<Mask> cached_masks;
+  std::vector<std::uint64_t> fetch;
+  std::vector<Mask> fetch_masks;
+  std::vector<CachePool::Entry> delta_only;
+  std::vector<Mask> delta_masks;
+  std::vector<CachePool::Entry> seg_tiles;
+  std::vector<std::uint64_t> orphans;
+  std::vector<std::uint64_t> costs;
   std::vector<Chunk> chunks;
-  std::vector<CachePool::Entry> rewind_entries;
-  std::vector<Mask> rewind_masks;
-  std::vector<std::uint64_t> scratch_indices;
 
   GangStats gang;
 };

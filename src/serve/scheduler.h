@@ -1,18 +1,18 @@
 // Multi-tenant SCR scheduler: one tile-fetch stream, many jobs.
 //
-// ScrEngine runs one algorithm per iteration loop; this scheduler
-// generalizes its slide–cache–rewind loop to a *gang* of up to 64 jobs
-// co-scheduled over one StoreSnapshot. Per round (one iteration of every
-// active job):
+// ScrEngine runs one algorithm per slide–cache–rewind pass; this scheduler
+// runs the same pass for a *gang* of up to 64 jobs co-scheduled over one
+// StoreSnapshot. Per round (one iteration of every active job):
 //
 //   REWIND — every tile in the shared cache pool is dispatched to each
 //            active job whose selective-fetch oracle wants it, before any
 //            I/O is issued.
 //   SLIDE  — the fetch list is the UNION of the active jobs' needed tiles;
-//            each tile's bytes are read once through the async engine
-//            (double-buffered, coalesced, with the same whole-tile retry
-//            budget as ScrEngine) and the decoded payload is dispatched to
-//            every subscribed job's kernel before the segment is reused.
+//            each tile's bytes are read once through the same TileStream
+//            ScrEngine uses (store/tile_stream.h: double-buffered,
+//            coalesced, whole-tile retries, quiesce before any exception
+//            escapes) and the decoded payload is dispatched to every
+//            subscribed job's kernel before the segment is reused.
 //            This is the shared-I/O dedup: 32 BFS jobs over the same graph
 //            cost ~1× the bytes, not 32×.
 //   CACHE  — processed tiles are offered to the SHARED cache pool under a
@@ -28,12 +28,12 @@
 // (their end_iteration() returns false), and are cancelled at round
 // boundaries. Per-job statistics are job-scoped (JobStats); the gang-level
 // I/O counters live in GangStats. Zero-copy is preserved: cached tiles pin
-// segment slices, and bytes_copied_to_pool stays 0.
+// segment slices.
 //
 // Threading: run() is called from ONE control thread (the JobManager's
-// scheduler thread); kernels fan out over OpenMP inside a round exactly
-// like ScrEngine. The snapshot (store + frozen overlay) is immutable for
-// the gang's lifetime.
+// scheduler thread); kernels fan out over OpenMP inside a round through
+// store::parallel_for_costs, exactly like ScrEngine. The snapshot (store +
+// frozen overlay) is immutable for the gang's lifetime.
 #pragma once
 
 #include <cstdint>
@@ -47,14 +47,12 @@
 
 namespace gstore::serve {
 
+// Reads are always overlapped with compute and retried whole twice
+// (TileStream defaults); a job fails after 100000 rounds.
 struct SchedulerConfig {
   std::uint64_t stream_memory_bytes = 64ull << 20;
   std::uint64_t segment_bytes = 8ull << 20;
   bool rewind = true;
-  bool selective_fetch = true;
-  bool overlap_io = true;
-  std::uint32_t max_iterations = 100000;
-  int read_retry_budget = 2;
 };
 
 // Gang-level shared-fetch counters (the daemon's dedup observability).
@@ -67,7 +65,7 @@ struct GangStats {
   std::uint64_t tile_dispatches = 0;   // job×tile kernel deliveries
   std::uint64_t io_batches = 0;
   std::uint64_t tile_resubmits = 0;
-  std::uint64_t bytes_copied_to_pool = 0;  // must stay 0 (zero-copy)
+  std::uint64_t bytes_copied_to_pool = 0;  // 0 by construction (zero-copy)
   std::uint64_t segment_refreshes = 0;
   std::uint64_t retries = 0;
   std::uint64_t short_reads = 0;

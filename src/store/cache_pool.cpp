@@ -1,7 +1,6 @@
 #include "store/cache_pool.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "util/dcheck.h"
 
@@ -26,19 +25,6 @@ bool CachePool::insert_pinned(std::uint64_t layout_idx, BufferPin pin,
   GSTORE_DCHECK(pin != nullptr || bytes == 0);
   MutexLock lock(mutex_);
   return insert_locked(layout_idx, std::move(pin), bytes);
-}
-
-bool CachePool::insert(std::uint64_t layout_idx, const std::uint8_t* data,
-                       std::uint64_t bytes) {
-  GSTORE_DCHECK(data != nullptr || bytes == 0);
-  // Copy into an owning buffer, then alias it as a pin (std::vector rather
-  // than a raw array: R2 bans raw allocation in src/store).
-  auto owner = std::make_shared<std::vector<std::uint8_t>>(data, data + bytes);
-  BufferPin pin(owner, owner->data());
-  MutexLock lock(mutex_);
-  if (!insert_locked(layout_idx, std::move(pin), bytes)) return false;
-  bytes_copied_ += bytes;
-  return true;
 }
 
 std::uint64_t CachePool::erase(std::uint64_t layout_idx) {

@@ -3,9 +3,7 @@
 // Processed segments donate their useful tiles here by *pinning* refcounted
 // slices of the segment buffer (insert_pinned) — no memcpy on the hot path;
 // eviction just drops the pin and the backing buffer is freed when its last
-// pin goes away. A copying insert() remains for callers without a
-// refcounted buffer (tests, ablations) and is tallied in bytes_copied() so
-// regressions back to the copy path are observable. The pool is bounded by
+// pin goes away. There is no copy path. The pool is bounded by
 // a byte budget counted over pinned slice bytes. Iteration order is layout
 // order so the rewind phase processes cached tiles in the same disk order
 // the streaming phase would have. Tracks recency for the LRU baseline
@@ -59,17 +57,6 @@ class CachePool {
   bool insert_pinned(std::uint64_t layout_idx, BufferPin pin,
                      std::uint64_t bytes) GSTORE_EXCLUDES(mutex_);
 
-  // Copying insert for callers that do not hold a refcounted buffer.
-  // Counted in bytes_copied(); the engine's hot path must never take this.
-  bool insert(std::uint64_t layout_idx, const std::uint8_t* data,
-              std::uint64_t bytes) GSTORE_EXCLUDES(mutex_);
-
-  // Cumulative bytes memcpy'd by insert() — 0 on the zero-copy path.
-  std::uint64_t bytes_copied() const GSTORE_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    return bytes_copied_;
-  }
-
   // Removes one tile; returns freed bytes (0 if absent).
   std::uint64_t erase(std::uint64_t layout_idx) GSTORE_EXCLUDES(mutex_);
 
@@ -106,8 +93,7 @@ class CachePool {
 
  private:
   struct Stored {
-    BufferPin pin;             // aliased into a segment buffer, or an owning
-                               // copy when insert() was used
+    BufferPin pin;             // aliased into a segment buffer
     std::uint64_t bytes = 0;
     std::uint64_t stamp = 0;   // recency
   };
@@ -124,7 +110,6 @@ class CachePool {
   const std::uint64_t budget_;
   std::uint64_t used_ GSTORE_GUARDED_BY(mutex_) = 0;
   std::uint64_t clock_ GSTORE_GUARDED_BY(mutex_) = 0;
-  std::uint64_t bytes_copied_ GSTORE_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace gstore::store

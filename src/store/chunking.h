@@ -4,12 +4,15 @@
 // equal edge cost. Dynamic scheduling over these chunks replaces
 // schedule(dynamic, 1) over raw slots: on a power-law tile grid the latter
 // is either dispatch overhead (swarms of near-empty tiles) or load imbalance
-// (one hub tile per work item with nothing to pair it against). Shared by
-// the single-job SCR engine and the multi-tenant serve scheduler.
+// (one hub tile per work item with nothing to pair it against).
+// parallel_for_costs() is the one OpenMP region every tile pass runs in —
+// the SCR engine's cached, streamed and overlay-only passes and the serve
+// scheduler's gang dispatches alike.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <exception>
 #include <vector>
 
 #ifdef _OPENMP
@@ -52,6 +55,34 @@ inline void cost_chunks(const std::vector<std::uint64_t>& costs,
     cur.end = costs.size();
     out.push_back(cur);
   }
+}
+
+// Runs body(k) for every k in [0, costs.size()) over cost_chunks() of
+// `costs` (reusing `chunks` as scratch), with dynamic scheduling over the
+// chunks. An exception cannot unwind through an OpenMP region (the runtime
+// would terminate the process), and tile decode can throw FormatError on a
+// corrupt payload, as can an algorithm's kernel. So each chunk captures its
+// exception, the rest of that chunk is skipped, and the first captured
+// exception is rethrown on the calling thread after the region joins.
+template <typename Body>
+void parallel_for_costs(const std::vector<std::uint64_t>& costs,
+                        std::vector<Chunk>& chunks, Body&& body) {
+  cost_chunks(costs, chunks);
+  std::exception_ptr error;
+#ifdef _OPENMP
+#pragma omp parallel for schedule(dynamic)
+#endif
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    try {
+      for (std::size_t k = chunks[c].begin; k < chunks[c].end; ++k) body(k);
+    } catch (...) {
+#ifdef _OPENMP
+#pragma omp critical(gstore_parallel_for_costs_error)
+#endif
+      if (error == nullptr) error = std::current_exception();
+    }
+  }
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 }  // namespace gstore::store

@@ -1,15 +1,11 @@
 #include "store/scr_engine.h"
 
 #include <algorithm>
-#include <exception>
-#include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "store/cache_pool.h"
 #include "store/chunking.h"
-#include "store/segment.h"
+#include "store/tile_stream.h"
 #include "store/worklist.h"
 #include "tile/overlay.h"
 #include "util/dcheck.h"
@@ -17,24 +13,7 @@
 #include "util/status.h"
 #include "util/timer.h"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 namespace gstore::store {
-
-namespace {
-// Tags encode which segment a read belongs to so completions can be
-// attributed while both segments have I/O in flight.
-constexpr std::uint64_t make_tag(int segment, std::uint64_t serial) {
-  GSTORE_DCHECK(segment == 0 || segment == 1);
-  GSTORE_DCHECK_LT(serial, 1ull << 56);
-  return (static_cast<std::uint64_t>(segment) << 56) | serial;
-}
-constexpr int tag_segment(std::uint64_t tag) {
-  return static_cast<int>(tag >> 56);
-}
-}  // namespace
 
 struct ScrEngine::Runner {
   Runner(tile::TileStore& store, const EngineConfig& config,
@@ -45,11 +24,9 @@ struct ScrEngine::Runner {
         algo(algo),
         pool(budget.pool_bytes),
         policy(CachingPolicy::make(config.policy)),
-        overlay(store.overlay()) {
-    const std::uint64_t cap =
-        std::max<std::uint64_t>(budget.segment_bytes, store.max_tile_bytes());
-    segments[0] = Segment(cap);
-    segments[1] = Segment(cap);
+        overlay(store.overlay()),
+        stream(store, budget.segment_bytes, config.overlap_io,
+               config.read_retry_budget) {
     // The overlay is frozen for the duration of a run (reader/writer
     // contract in tile/overlay.h), so its tile list can be taken once.
     if (overlay != nullptr) overlay_tiles = overlay->nonempty_tiles();
@@ -58,7 +35,6 @@ struct ScrEngine::Runner {
   // ---- helpers -----------------------------------------------------------
 
   bool needed_now(std::uint64_t layout_idx) const {
-    if (!config.selective_fetch) return true;
     const tile::TileCoord c = grid.coord_at(layout_idx);
     return algo.tile_needed(c.i, c.j);
   }
@@ -70,6 +46,13 @@ struct ScrEngine::Runner {
 
   std::uint64_t overlay_count(std::uint64_t layout_idx) const {
     return overlay == nullptr ? 0 : overlay->tile_edges(layout_idx).size();
+  }
+
+  // Tiles carrying base bytes or overlay edges; the rest never need work.
+  bool has_data(std::uint64_t layout_idx) const {
+    return store.tile_bytes(layout_idx) != 0 ||
+           std::binary_search(overlay_tiles.begin(), overlay_tiles.end(),
+                              layout_idx);
   }
 
   void process_one(std::uint64_t layout_idx, const std::uint8_t* data) {
@@ -85,209 +68,39 @@ struct ScrEngine::Runner {
     algo.process_tile(tile::splice_view(v, extra));
   }
 
-  // An exception cannot unwind through an OpenMP region (the runtime would
-  // terminate the process), and since v3 the decode inside process_one can
-  // throw FormatError on a corrupt payload — as can the algorithm itself.
-  // Workers capture the first exception here; the orchestrating thread
-  // rethrows after the region joins (REWIND and the delta pass have no I/O
-  // in flight, and the SLIDE call sits inside the quiesce-before-throw
-  // frame in run_iteration).
-  std::exception_ptr scan_error;
-
-  void process_one_captured(std::uint64_t layout_idx,
-                            const std::uint8_t* data) noexcept {
-    try {
-      process_one(layout_idx, data);
-    } catch (...) {
-#ifdef _OPENMP
-#pragma omp critical(gstore_scr_scan_error)
-#endif
-      if (scan_error == nullptr) scan_error = std::current_exception();
-    }
-  }
-
-  void rethrow_scan_error() {
-    if (scan_error == nullptr) return;
-    std::exception_ptr e = std::exchange(scan_error, nullptr);
-    std::rethrow_exception(e);
-  }
-
-  // Greedily packs tiles from fetch[pos..] into `seg` and submits the reads
-  // as one batched call (coalescing contiguous tiles into single requests).
-  // Returns the number of read requests in flight for this segment.
-  std::size_t fill_and_submit(int s, const std::vector<std::uint64_t>& fetch,
-                              std::size_t& pos) {
-    Segment& seg = segments[s];
-    if (pos >= fetch.size()) {
-      seg.clear();  // nothing will be written — pinned bytes stay untouched
-      return 0;
-    }
-    // begin_fill, not clear: if the pool still pins slices of this buffer a
-    // fresh one is allocated, so the cached bytes stay immutable (zero-copy
-    // contract; the old buffer is freed when its last pin drops).
-    seg.begin_fill();
-
-    // An oversized first tile grows the segment (tiles are never split:
-    // "we do not fetch, process or cache partial data from any tile").
-    seg.ensure_capacity(store.tile_bytes(fetch[pos]));
-    while (pos < fetch.size() &&
-           seg.try_add(fetch[pos], store.tile_bytes(fetch[pos])))
-      ++pos;
-
-    // Coalesce runs of layout-consecutive tiles: their bytes are contiguous
-    // in the file and in the segment buffer by construction.
-    std::vector<io::ReadRequest> batch;
-    const auto& slots = seg.slots();
-    std::size_t run_begin = 0;
-    auto flush_run = [&](std::size_t run_end) {
-      const TileSlot& first = slots[run_begin];
-      const TileSlot& last = slots[run_end - 1];
-      io::ReadRequest req;
-      req.offset = store.tile_offset(first.layout_idx);
-      req.length = static_cast<std::size_t>(last.offset + last.bytes - first.offset);
-      req.buffer = seg.slot_data(first);
-      req.tag = make_tag(s, next_serial++);
-      batch.push_back(req);
-      run_begin = run_end;
-    };
-    for (std::size_t k = 1; k < slots.size(); ++k) {
-      // Segment packing invariant: slot bytes are laid out back-to-back, so
-      // a layout-consecutive run is contiguous in buffer and file alike.
-      GSTORE_DCHECK_EQ(slots[k].offset, slots[k - 1].offset + slots[k - 1].bytes);
-      if (slots[k].layout_idx != slots[k - 1].layout_idx + 1) flush_run(k);
-    }
-    if (!slots.empty()) flush_run(slots.size());
-
-    stats.tiles_from_disk += slots.size();
-    for (const auto& slot : slots) bytes_fetched_total += slot.bytes;
-    for (auto& req : batch) req.priority = fetch_priority;
-    if (batch.empty()) return 0;
-    ++stats.io_batches;
-    if (config.overlap_io) {
-      const std::size_t n_requests = batch.size();
-      // Remember every request so a failed or truncated completion can be
-      // resubmitted (or reported with its offset) from wait_segment.
-      for (const auto& req : batch)
-        inflight.emplace(req.tag, InFlightRead{req, 0});
-      store.device().submit(std::move(batch));
-      return n_requests;
-    }
-    // Synchronous mode: read inline.
+  // Runs the kernel over `tiles` in parallel (cached entries, a segment's
+  // slots, or overlay-only tiles with null data) and counts their edges.
+  void process_tiles(const std::vector<CachePool::Entry>& tiles) {
+    if (tiles.empty()) return;
     Timer t;
-    for (const auto& req : batch)
-      store.device().read(req.buffer, req.length, req.offset);
-    stats.io_wait_seconds += t.seconds();
-    return 0;
-  }
-
-  // Waits until all in-flight requests for segment s have completed.
-  //
-  // Failure handling (the recovery layer above the async engine's own
-  // per-read retries): a failed completion — or a short one, which means
-  // the async engine already pursued the tail to EOF and the tile file is
-  // genuinely truncated — is never processed as a full tile. The whole
-  // request is resubmitted up to config.read_retry_budget times; past the
-  // budget it is recorded and the iteration fails via fail_iteration(),
-  // which drains *both* segments' in-flight reads before the exception
-  // escapes (the I/O workers write into buffers this Runner owns, so
-  // unwinding under them would be a use-after-free).
-  void wait_segment(int s) {
-    Timer t;
-    while (pending[s] > 0) {
-      completions_scratch.clear();
-      store.device().poll(1, 64, completions_scratch);
-      for (const io::Completion& c : completions_scratch)
-        handle_completion(c);
-    }
-    stats.io_wait_seconds += t.seconds();
-    if (!read_failures.empty()) fail_iteration();
-  }
-
-  void handle_completion(const io::Completion& c) {
-    const int seg = tag_segment(c.tag);
-    GSTORE_DCHECK(seg == 0 || seg == 1);
-    GSTORE_DCHECK_GT(pending[seg], 0);
-    --pending[seg];
-    const auto it = inflight.find(c.tag);
-    GSTORE_DCHECK(it != inflight.end());
-    if (it == inflight.end()) return;  // untracked (sync-mode leftovers)
-    InFlightRead& r = it->second;
-    if (c.ok && c.bytes == r.req.length) {
-      inflight.erase(it);
-      return;
-    }
-    if (r.attempts < config.read_retry_budget) {
-      ++r.attempts;
-      ++stats.tile_resubmits;
-      std::vector<io::ReadRequest> one{r.req};
-      store.device().submit(std::move(one));
-      ++pending[seg];
-      return;
-    }
-    const std::string why =
-        !c.ok ? (c.message.empty() ? "read failed" : c.message)
-              : ("truncated read: " + std::to_string(c.bytes) + "/" +
-                 std::to_string(r.req.length) + " bytes");
-    read_failures.push_back("tile read at offset " +
-                            std::to_string(r.req.offset) + " (tag " +
-                            std::to_string(c.tag) + "): " + why);
-    inflight.erase(it);
-  }
-
-  // Aborts the iteration with one IoError naming every tile read that
-  // exhausted its budget. Quiesces first: no exception may escape while
-  // the async workers can still write into the segment buffers.
-  [[noreturn]] void fail_iteration() {
-    quiesce_all();
-    std::string msg = "iteration aborted: " +
-                      std::to_string(read_failures.size()) +
-                      " tile read(s) failed past the retry budget";
-    for (const auto& f : read_failures) msg += "; " + f;
-    read_failures.clear();
-    throw IoError(msg, EIO);
-  }
-
-  // Unwind-path barrier: waits out every in-flight read for both segments
-  // without throwing, then resets the double-buffer bookkeeping.
-  void quiesce_all() noexcept {
-    store.device().quiesce();
-    pending[0] = pending[1] = 0;
-    inflight.clear();
-  }
-
-  // Processes every tile resident in segment s (in parallel), then offers
-  // the tiles to the cache pool under the policy.
-  void process_segment(int s) {
-    Segment& seg = segments[s];
-    const auto& slots = seg.slots();
-    Timer t;
-    slot_costs.clear();
-    slot_costs.reserve(slots.size());
-    for (const auto& slot : slots)
-      slot_costs.push_back(store.tile_edge_count(slot.layout_idx) +
-                           overlay_count(slot.layout_idx));
-    cost_chunks(slot_costs, chunks);
+    costs.clear();
     std::uint64_t edges = 0;
     std::uint64_t oedges = 0;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic) reduction(+ : edges, oedges)
-#endif
-    for (std::size_t c = 0; c < chunks.size(); ++c) {
-      for (std::size_t k = chunks[c].begin; k < chunks[c].end; ++k) {
-        process_one_captured(slots[k].layout_idx, seg.slot_data(slots[k]));
-        edges += slot_costs[k];
-        oedges += overlay_count(slots[k].layout_idx);
-      }
+    for (const auto& e : tiles) {
+      const std::uint64_t extra = overlay_count(e.layout_idx);
+      costs.push_back(store.tile_edge_count(e.layout_idx) + extra);
+      edges += costs.back();
+      oedges += extra;
     }
-    rethrow_scan_error();  // before pinning possibly-corrupt tiles below
+    parallel_for_costs(costs, chunks, [&](std::size_t k) {
+      process_one(tiles[k].layout_idx, tiles[k].data);
+    });
     stats.edges_processed += edges;
     stats.overlay_edges += oedges;
     stats.compute_seconds += t.seconds();
+  }
 
-    // CACHE step of slide-cache-rewind: pin refcounted slices of the segment
-    // buffer instead of copying tile bytes into the pool.
+  // One streamed segment: process its tiles, then the CACHE step of
+  // slide-cache-rewind — pin refcounted slices of the segment buffer
+  // instead of copying tile bytes into the pool.
+  void process_segment(const Segment& seg) {
+    seg_tiles.clear();
+    for (const auto& slot : seg.slots())
+      seg_tiles.push_back({slot.layout_idx, seg.slot_data(slot), slot.bytes});
+    // Throws before any possibly-corrupt tile below is pinned.
+    process_tiles(seg_tiles);
     if (pool.budget() == 0) return;
-    for (const auto& slot : slots) {
+    for (const auto& slot : seg.slots()) {
       const tile::TileCoord c = grid.coord_at(slot.layout_idx);
       if (!policy->should_cache(slot.layout_idx, c, algo)) continue;
       if (slot.bytes > pool.free_bytes() &&
@@ -297,191 +110,155 @@ struct ScrEngine::Runner {
     }
   }
 
-  // ---- one iteration -----------------------------------------------------
+  // Snapshots the pool (layout order) at the start of an iteration or
+  // round. The base policy (rewind off) keeps nothing across them.
+  void snapshot_pool() {
+    pooled.clear();
+    if (!config.rewind) {
+      pool.clear();
+      return;
+    }
+    pool.for_each_entry([&](const CachePool::Entry& e) { pooled.push_back(e); });
+  }
+
+  // ---- the shared slide–cache–rewind pass --------------------------------
+
+  // Processes `selected` (ascending layout indices of tiles with data that
+  // this iteration or round must visit). REWIND: tiles already in the pool
+  // are processed first, with no I/O (paper §VI-D). SLIDE: the base tiles
+  // stream through the TileStream at `priority`, each segment cached as it
+  // is processed. Overlay tiles with no base bytes are never fetched nor
+  // cached, so they get a no-I/O pass last. The policy's boundary analysis
+  // closes the pass.
+  void run_pass(std::uint32_t priority) {
+    cached.clear();
+    fetch.clear();
+    delta_only.clear();
+    std::size_t ci = 0;
+    for (const std::uint64_t idx : selected) {
+      while (ci < pooled.size() && pooled[ci].layout_idx < idx) ++ci;
+      if (ci < pooled.size() && pooled[ci].layout_idx == idx)
+        cached.push_back(pooled[ci]);
+      else if (store.tile_bytes(idx) != 0)
+        fetch.push_back(idx);
+      else
+        delta_only.push_back({idx, nullptr, 0});
+    }
+
+    process_tiles(cached);
+    for (const auto& e : cached) pool.touch(e.layout_idx);
+    stats.tiles_from_cache += cached.size();
+
+    stream.slide(fetch, priority, [&](const Segment& seg, std::size_t) {
+      process_segment(seg);
+    });
+
+    process_tiles(delta_only);
+
+    // Boundary cache analysis. Runs *before* the end hook: the
+    // tile_useful_next oracle refers to upcoming work, and end_iteration /
+    // end_round typically promote next-state metadata (e.g. BFS frontier
+    // flags) to current.
+    if (pool.budget() > 0) policy->analyze(pool, grid, algo);
+  }
+
+  // Cumulative counters, for per-iteration deltas.
+  IterationStats totals() const {
+    return IterationStats{stream.stats().tiles_fetched, stats.tiles_from_cache,
+                          stats.tiles_skipped,          stats.edges_processed,
+                          stream.stats().bytes_fetched};
+  }
+
+  void record(const IterationStats& before, std::uint32_t bucket,
+              double seconds) {
+    IterationStats it = totals();
+    it.tiles_from_disk -= before.tiles_from_disk;
+    it.tiles_from_cache -= before.tiles_from_cache;
+    it.tiles_skipped -= before.tiles_skipped;
+    it.edges_processed -= before.edges_processed;
+    it.bytes_fetched -= before.bytes_fetched;
+    it.bucket = bucket;
+    it.seconds = seconds;
+    // last_round_updates() holds the count until the next begin hook resets
+    // it, so it is still valid after the end hook.
+    if (algo.last_round_updates() == 0)
+      stats.wasted_fetch_bytes += it.bytes_fetched;
+    stats.per_iteration.push_back(it);
+  }
+
+  // ---- grid mode ---------------------------------------------------------
+
+  // Selects every tile with data the algorithm needs this iteration, in
+  // layout order. A stored tile that is neither needed nor cached counts as
+  // skipped by selective fetch.
+  void select_grid() {
+    selected.clear();
+    std::size_t ci = 0;
+    for (std::uint64_t idx = 0; idx < grid.tile_count(); ++idx) {
+      if (!has_data(idx)) continue;
+      if (needed_now(idx)) {
+        selected.push_back(idx);
+        continue;
+      }
+      while (ci < pooled.size() && pooled[ci].layout_idx < idx) ++ci;
+      const bool in_pool = ci < pooled.size() && pooled[ci].layout_idx == idx;
+      if (store.tile_bytes(idx) != 0 && !in_pool) ++stats.tiles_skipped;
+    }
+  }
 
   // Returns true if the algorithm wants another iteration.
   bool run_iteration(std::uint32_t iter) {
-    const Timer iter_timer;
-    const IterationStats before{stats.tiles_from_disk, stats.tiles_from_cache,
-                                stats.tiles_skipped, stats.edges_processed,
-                                bytes_fetched_total};
+    const Timer timer;
+    const IterationStats before = totals();
     algo.begin_iteration(iter);
-
-    // REWIND: consume the cache pool first, no I/O (paper §VI-D).
-    std::vector<std::uint64_t> cached_indices;
-    if (config.rewind && pool.tile_count() > 0) {
-      Timer t;
-      // Allocation-free snapshot into reused scratch. The fetch list must
-      // exclude *every* cached tile (needed or not), so indices are taken
-      // before filtering; needed_now consults algorithm metadata, so it runs
-      // outside the pool lock.
-      rewind_entries.clear();
-      pool.for_each_entry(
-          [&](const CachePool::Entry& e) { rewind_entries.push_back(e); });
-      cached_indices.reserve(rewind_entries.size());
-      for (const auto& e : rewind_entries)
-        cached_indices.push_back(e.layout_idx);
-      std::erase_if(rewind_entries, [&](const CachePool::Entry& e) {
-        return !needed_now(e.layout_idx);
-      });
-      slot_costs.clear();
-      slot_costs.reserve(rewind_entries.size());
-      for (const auto& e : rewind_entries)
-        slot_costs.push_back(store.tile_edge_count(e.layout_idx) +
-                             overlay_count(e.layout_idx));
-      cost_chunks(slot_costs, chunks);
-      std::uint64_t edges = 0;
-      std::uint64_t oedges = 0;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic) reduction(+ : edges, oedges)
-#endif
-      for (std::size_t c = 0; c < chunks.size(); ++c) {
-        for (std::size_t k = chunks[c].begin; k < chunks[c].end; ++k) {
-          process_one_captured(rewind_entries[k].layout_idx,
-                               rewind_entries[k].data);
-          edges += slot_costs[k];
-          oedges += overlay_count(rewind_entries[k].layout_idx);
-        }
-      }
-      rethrow_scan_error();
-      for (const auto& e : rewind_entries) pool.touch(e.layout_idx);
-      stats.tiles_from_cache += rewind_entries.size();
-      stats.edges_processed += edges;
-      stats.overlay_edges += oedges;
-      stats.compute_seconds += t.seconds();
-    } else if (!config.rewind) {
-      // Base policy keeps nothing across iterations.
-      pool.clear();
-    }
-
-    // Fetch list: every stored, non-empty tile not already consumed from the
-    // cache, that the algorithm needs this iteration — in layout order.
-    std::vector<std::uint64_t> fetch;
-    {
-      std::size_t ci = 0;
-      for (std::uint64_t idx = 0; idx < grid.tile_count(); ++idx) {
-        while (ci < cached_indices.size() && cached_indices[ci] < idx) ++ci;
-        const bool in_cache =
-            ci < cached_indices.size() && cached_indices[ci] == idx;
-        if (in_cache) continue;
-        if (store.tile_bytes(idx) == 0) continue;
-        if (!needed_now(idx)) {
-          ++stats.tiles_skipped;
-          continue;
-        }
-        fetch.push_back(idx);
-      }
-    }
-
-    // SLIDE: double-buffered stream over the fetch list. Any exception —
-    // an I/O failure past the retry budget, or one thrown by the algorithm
-    // itself — must not unwind past this frame while reads are still in
-    // flight into the segment buffers, so the whole phase quiesces before
-    // propagating.
-    std::size_t pos = 0;
-    int cur = 0;
-    pending[0] = pending[1] = 0;
-    try {
-      pending[cur] = fill_and_submit(cur, fetch, pos);
-      while (!segments[cur].empty()) {
-        const int nxt = cur ^ 1;
-        // Double-buffer state machine: the segment about to prefetch must be
-        // quiescent (its previous I/O reaped, its tiles processed).
-        GSTORE_DCHECK_EQ(pending[nxt], 0);
-        pending[nxt] = fill_and_submit(nxt, fetch, pos);  // prefetch
-        wait_segment(cur);
-        process_segment(cur);
-        cur = nxt;
-      }
-    } catch (...) {
-      quiesce_all();
-      throw;
-    }
-    // SLIDE consumed the whole fetch list and reaped every read.
-    GSTORE_DCHECK_EQ(pos, fetch.size());
-    GSTORE_DCHECK_EQ(pending[0], 0);
-    GSTORE_DCHECK_EQ(pending[1], 0);
-
-    // Overlay tiles with no base bytes are invisible to the fetch list (and
-    // never enter the cache), so they get their own no-I/O pass.
-    if (overlay != nullptr) {
-      Timer t;
-      std::vector<std::uint64_t> delta_only;
-      for (const std::uint64_t idx : overlay_tiles) {
-        if (store.tile_bytes(idx) != 0) continue;  // spliced in during SLIDE/REWIND
-        if (!needed_now(idx)) continue;
-        delta_only.push_back(idx);
-      }
-      slot_costs.clear();
-      slot_costs.reserve(delta_only.size());
-      for (const std::uint64_t idx : delta_only)
-        slot_costs.push_back(overlay_count(idx));
-      cost_chunks(slot_costs, chunks);
-      std::uint64_t oedges = 0;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic) reduction(+ : oedges)
-#endif
-      for (std::size_t c = 0; c < chunks.size(); ++c) {
-        for (std::size_t k = chunks[c].begin; k < chunks[c].end; ++k) {
-          process_one_captured(delta_only[k], nullptr);
-          oedges += slot_costs[k];
-        }
-      }
-      rethrow_scan_error();
-      stats.edges_processed += oedges;
-      stats.overlay_edges += oedges;
-      stats.compute_seconds += t.seconds();
-    }
-
-    // Iteration-boundary cache analysis. Runs *before* end_iteration(): the
-    // tile_useful_next oracle refers to the upcoming iteration, and
-    // end_iteration typically promotes next-iteration metadata (e.g. BFS
-    // frontier flags) to current.
-    if (pool.budget() > 0) policy->analyze(pool, grid, algo);
-
+    snapshot_pool();
+    select_grid();
+    run_pass(/*priority=*/0);
     const bool more = algo.end_iteration(iter);
-    const std::uint64_t fetched = bytes_fetched_total - before.bytes_fetched;
-    // last_round_updates() holds the iteration's update count until the next
-    // begin hook resets it, so it is still valid here.
-    if (algo.last_round_updates() == 0) stats.wasted_fetch_bytes += fetched;
-    stats.per_iteration.push_back(IterationStats{
-        stats.tiles_from_disk - before.tiles_from_disk,
-        stats.tiles_from_cache - before.tiles_from_cache,
-        stats.tiles_skipped - before.tiles_skipped,
-        stats.edges_processed - before.edges_processed, fetched,
-        IterationStats::kNoBucket, iter_timer.seconds()});
+    record(before, IterationStats::kNoBucket, timer.seconds());
     return more;
+  }
+
+  EngineStats run() {
+    if (config.schedule == ScheduleMode::kPriority)
+      return run_priority(/*cold=*/true, {});
+    Timer total;
+    algo.init(store);
+    store.device().reset_stats();
+    bool more = true;
+    std::uint32_t iter = 0;
+    while (more && iter < config.max_iterations) {
+      more = run_iteration(iter);
+      ++iter;
+    }
+    GS_CHECK_MSG(!more, "algorithm did not converge within max_iterations");
+    stats.iterations = iter;
+    return finish(total);
   }
 
   // ---- priority mode (docs/SCHEDULING.md) --------------------------------
 
-  // Registers every tile carrying data (base bytes or overlay edges) under
-  // both of its tile rows, so a dirty row maps back to the tiles whose
-  // priority it can change. Both rows, not just the algorithm's source row:
-  // tile_priority(i,j) may consult either range (symmetric stores do), and
-  // over-approximating costs one oracle call per refresh, never correctness.
+  // Registers every tile carrying data under both of its tile rows, so a
+  // dirty row maps back to the tiles whose priority it can change. Both
+  // rows, not just the algorithm's source row: tile_priority(i,j) may
+  // consult either range (symmetric stores do), and over-approximating
+  // costs one oracle call per refresh, never correctness.
   void build_row_tiles() {
     row_tiles.assign(grid.p(), {});
     row_mark.assign(grid.p(), 0);
     for (std::uint64_t idx = 0; idx < grid.tile_count(); ++idx) {
-      if (store.tile_bytes(idx) == 0 && overlay_count(idx) == 0) continue;
+      if (!has_data(idx)) continue;
       const tile::TileCoord c = grid.coord_at(idx);
       row_tiles[c.i].push_back(idx);
       if (c.j != c.i) row_tiles[c.j].push_back(idx);
     }
   }
 
-  // Re-files one tile under its current oracle priority (kPriorityIdle
-  // unfiles it).
-  void refresh_tile(std::uint64_t layout_idx) {
-    worklist.push(layout_idx, priority_of(layout_idx));
-  }
-
+  // Re-files every tile with data under its current oracle priority
+  // (kPriorityIdle unfiles it).
   void seed_worklist_full() {
-    for (std::uint64_t idx = 0; idx < grid.tile_count(); ++idx) {
-      if (store.tile_bytes(idx) == 0 && overlay_count(idx) == 0) continue;
-      refresh_tile(idx);
-    }
+    for (std::uint64_t idx = 0; idx < grid.tile_count(); ++idx)
+      if (has_data(idx)) worklist.push(idx, priority_of(idx));
   }
 
   // Re-evaluates only the tiles touching `rows` (deduplicated via row_mark).
@@ -490,155 +267,31 @@ struct ScrEngine::Runner {
       GSTORE_DCHECK_LT(r, row_tiles.size());
       if (r >= row_tiles.size() || row_mark[r]) continue;
       row_mark[r] = 1;
-      for (const std::uint64_t idx : row_tiles[r]) refresh_tile(idx);
+      for (const std::uint64_t idx : row_tiles[r])
+        worklist.push(idx, priority_of(idx));
     }
     for (const std::uint32_t r : rows)
       if (r < row_mark.size()) row_mark[r] = 0;
   }
 
-  // One worklist round: drain the minimum bucket, process its cached tiles
-  // first (no I/O), SLIDE the rest from disk at the bucket's fetch priority,
-  // then splice delta-only overlay tiles. Returns end_round()'s verdict.
+  // One worklist round: the pass over the minimum bucket, its reads stamped
+  // with the bucket as fetch priority, then re-filing of the tiles whose
+  // priority the round changed. Returns end_round()'s verdict.
   bool run_round(std::uint32_t round) {
-    const Timer round_timer;
-    const IterationStats before{stats.tiles_from_disk, stats.tiles_from_cache,
-                                stats.tiles_skipped, stats.edges_processed,
-                                bytes_fetched_total};
-    const std::uint32_t bucket = worklist.drain_min(round_tiles);
+    const Timer timer;
+    const IterationStats before = totals();
+    const std::uint32_t bucket = worklist.drain_min(selected);
     GSTORE_DCHECK(bucket != TileWorklist::kIdle);
     algo.begin_round(round, bucket);
     stats.max_bucket = std::max(stats.max_bucket, bucket);
-    fetch_priority = bucket;
-
-    // Partition the round: tiles already in the pool are processed in place
-    // (the REWIND idea applied per round), the rest are streamed. Overlay
-    // tiles with no base bytes never hit the fetch path.
-    round_fetch.clear();
-    round_delta_only.clear();
-    rewind_entries.clear();
-    if (config.rewind && pool.tile_count() > 0) {
-      pool.for_each_entry(
-          [&](const CachePool::Entry& e) { rewind_entries.push_back(e); });
-    } else if (!config.rewind) {
-      pool.clear();  // base policy keeps nothing across rounds
-    }
-    {
-      // Both lists are ascending in layout index (pool iterates its sorted
-      // map; drain_min sorts), so one merge pass splits the round.
-      std::size_t ci = 0;
-      std::vector<CachePool::Entry> cached;
-      for (const std::uint64_t idx : round_tiles) {
-        while (ci < rewind_entries.size() &&
-               rewind_entries[ci].layout_idx < idx)
-          ++ci;
-        if (ci < rewind_entries.size() &&
-            rewind_entries[ci].layout_idx == idx) {
-          cached.push_back(rewind_entries[ci]);
-          continue;
-        }
-        if (store.tile_bytes(idx) != 0)
-          round_fetch.push_back(idx);
-        else if (overlay_count(idx) != 0)
-          round_delta_only.push_back(idx);
-      }
-      rewind_entries.swap(cached);
-    }
-
-    // Cached tiles first — dispatch before any I/O is issued.
-    if (!rewind_entries.empty()) {
-      Timer t;
-      slot_costs.clear();
-      slot_costs.reserve(rewind_entries.size());
-      for (const auto& e : rewind_entries)
-        slot_costs.push_back(store.tile_edge_count(e.layout_idx) +
-                             overlay_count(e.layout_idx));
-      cost_chunks(slot_costs, chunks);
-      std::uint64_t edges = 0;
-      std::uint64_t oedges = 0;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic) reduction(+ : edges, oedges)
-#endif
-      for (std::size_t c = 0; c < chunks.size(); ++c) {
-        for (std::size_t k = chunks[c].begin; k < chunks[c].end; ++k) {
-          process_one_captured(rewind_entries[k].layout_idx,
-                               rewind_entries[k].data);
-          edges += slot_costs[k];
-          oedges += overlay_count(rewind_entries[k].layout_idx);
-        }
-      }
-      rethrow_scan_error();
-      for (const auto& e : rewind_entries) pool.touch(e.layout_idx);
-      stats.tiles_from_cache += rewind_entries.size();
-      stats.edges_processed += edges;
-      stats.overlay_edges += oedges;
-      stats.compute_seconds += t.seconds();
-    }
-
-    // SLIDE over the round's fetch list (same quiesce-before-throw frame as
-    // the grid path: nothing may unwind while reads are in flight).
-    std::size_t pos = 0;
-    int cur = 0;
-    pending[0] = pending[1] = 0;
-    try {
-      pending[cur] = fill_and_submit(cur, round_fetch, pos);
-      while (!segments[cur].empty()) {
-        const int nxt = cur ^ 1;
-        GSTORE_DCHECK_EQ(pending[nxt], 0);
-        pending[nxt] = fill_and_submit(nxt, round_fetch, pos);
-        wait_segment(cur);
-        process_segment(cur);
-        cur = nxt;
-      }
-    } catch (...) {
-      quiesce_all();
-      throw;
-    }
-    GSTORE_DCHECK_EQ(pos, round_fetch.size());
-    GSTORE_DCHECK_EQ(pending[0], 0);
-    GSTORE_DCHECK_EQ(pending[1], 0);
-
-    if (!round_delta_only.empty()) {
-      Timer t;
-      slot_costs.clear();
-      slot_costs.reserve(round_delta_only.size());
-      for (const std::uint64_t idx : round_delta_only)
-        slot_costs.push_back(overlay_count(idx));
-      cost_chunks(slot_costs, chunks);
-      std::uint64_t oedges = 0;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic) reduction(+ : oedges)
-#endif
-      for (std::size_t c = 0; c < chunks.size(); ++c) {
-        for (std::size_t k = chunks[c].begin; k < chunks[c].end; ++k) {
-          process_one_captured(round_delta_only[k], nullptr);
-          oedges += slot_costs[k];
-        }
-      }
-      rethrow_scan_error();
-      stats.edges_processed += oedges;
-      stats.overlay_edges += oedges;
-      stats.compute_seconds += t.seconds();
-    }
-
-    // Round-boundary cache analysis, before end_round for the same reason
-    // the grid path runs it before end_iteration (tile_useful_next refers
-    // to upcoming work; end_round promotes next-state metadata).
-    if (pool.budget() > 0) policy->analyze(pool, grid, algo);
-
+    snapshot_pool();
+    run_pass(bucket);
     const bool more = algo.end_round(round, bucket);
-    const std::uint64_t fetched = bytes_fetched_total - before.bytes_fetched;
-    if (algo.last_round_updates() == 0) stats.wasted_fetch_bytes += fetched;
-    stats.per_iteration.push_back(IterationStats{
-        stats.tiles_from_disk - before.tiles_from_disk,
-        stats.tiles_from_cache - before.tiles_from_cache,
-        0,  // priority mode has no grid scan, hence nothing was "skipped"
-        stats.edges_processed - before.edges_processed, fetched, bucket,
-        round_timer.seconds()});
+    record(before, bucket, timer.seconds());
     ++stats.rounds;
 
-    // Re-file tiles whose priority inputs the round changed. An algorithm
-    // that cannot name its dirty rows gets a full oracle sweep (the same
-    // per-iteration cost the grid scan pays).
+    // An algorithm that cannot name its dirty rows gets a full oracle sweep
+    // (the same per-iteration cost the grid scan pays).
     dirty_rows_scratch.clear();
     if (algo.dirty_rows(dirty_rows_scratch))
       refresh_rows(dirty_rows_scratch);
@@ -681,33 +334,19 @@ struct ScrEngine::Runner {
     return finish(total);
   }
 
-  EngineStats run() {
-    if (config.schedule == ScheduleMode::kPriority)
-      return run_priority(/*cold=*/true, {});
-    Timer total;
-    algo.init(store);
-    store.device().reset_stats();
-    bool more = true;
-    std::uint32_t iter = 0;
-    while (more && iter < config.max_iterations) {
-      more = run_iteration(iter);
-      ++iter;
-    }
-    GS_CHECK_MSG(!more, "algorithm did not converge within max_iterations");
-    stats.iterations = iter;
-    return finish(total);
-  }
-
   EngineStats finish(Timer& total) {
     const io::DeviceStats dev = store.device().stats();
+    const StreamStats& io = stream.stats();
     stats.bytes_read = dev.bytes_read;
+    stats.tiles_from_disk = io.tiles_fetched;
+    stats.io_batches = io.io_batches;
+    stats.tile_resubmits = io.tile_resubmits;
+    stats.io_wait_seconds = io.io_wait_seconds;
     stats.retries = dev.retries;
     stats.short_reads = dev.short_reads;
     stats.failed_reads = dev.failed_reads;
     stats.backoff_seconds = dev.backoff_seconds;
-    stats.bytes_copied_to_pool = pool.bytes_copied();
-    stats.segment_refreshes =
-        segments[0].buffer_refreshes() + segments[1].buffer_refreshes();
+    stats.segment_refreshes = stream.segment_refreshes();
     stats.elapsed_seconds = total.seconds();
     return stats;
   }
@@ -720,38 +359,22 @@ struct ScrEngine::Runner {
   std::unique_ptr<CachingPolicy> policy;
   const tile::TileOverlay* overlay = nullptr;
   std::vector<std::uint64_t> overlay_tiles;  // nonempty, ascending
-  Segment segments[2];
-  std::size_t pending[2] = {0, 0};
-  std::uint64_t next_serial = 0;
-  // Every submitted request, kept until its completion is accepted, so a
-  // failed or truncated read can be resubmitted whole (tiles are never
-  // processed from partial data).
-  struct InFlightRead {
-    io::ReadRequest req;
-    int attempts = 0;
-  };
-  std::unordered_map<std::uint64_t, InFlightRead> inflight;
-  std::vector<std::string> read_failures;
-  std::vector<io::Completion> completions_scratch;
-  // Reused per-phase scratch (cleared before each use; never allocated on
-  // the per-iteration hot path after warm-up).
-  std::vector<std::uint64_t> slot_costs;
+  TileStream stream;
+  // Per-pass scratch, reused so the steady state does not allocate.
+  std::vector<std::uint64_t> selected;  // this iteration's/round's tiles
+  std::vector<CachePool::Entry> pooled;
+  std::vector<CachePool::Entry> cached;
+  std::vector<std::uint64_t> fetch;
+  std::vector<CachePool::Entry> delta_only;
+  std::vector<CachePool::Entry> seg_tiles;
+  std::vector<std::uint64_t> costs;
   std::vector<Chunk> chunks;
-  std::vector<CachePool::Entry> rewind_entries;
-  // Priority-mode state: the bucketed worklist, the row→tiles adjacency it
-  // is refreshed through, and per-round scratch.
+  // Priority-mode state: the bucketed worklist and the row→tiles adjacency
+  // it is refreshed through.
   TileWorklist worklist;
   std::vector<std::vector<std::uint64_t>> row_tiles;
   std::vector<std::uint8_t> row_mark;
-  std::vector<std::uint64_t> round_tiles;
-  std::vector<std::uint64_t> round_fetch;
-  std::vector<std::uint64_t> round_delta_only;
   std::vector<std::uint32_t> dirty_rows_scratch;
-  // Priority stamped onto this round's ReadRequests (the async engine
-  // serves lower values first when requests from several rounds or engines
-  // share a queue). Grid mode leaves it 0.
-  std::uint32_t fetch_priority = 0;
-  std::uint64_t bytes_fetched_total = 0;
   EngineStats stats;
 };
 

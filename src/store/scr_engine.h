@@ -1,19 +1,20 @@
 // The SCR (slide–cache–rewind) engine (paper §VI, Figure 8).
 //
-// Each iteration:
-//   REWIND — process the tiles already sitting in the cache pool before any
-//            I/O is issued (they were saved from the previous iteration).
-//   SLIDE  — stream the remaining needed tiles from disk in physical-group
-//            layout order, double-buffered: one segment is loading via the
-//            async engine while the other is being processed.
+// Each iteration (grid mode) or worklist round (priority mode) first
+// selects the tiles it must process, then runs one shared pass over them:
+//   REWIND — process the selected tiles already sitting in the cache pool
+//            before any I/O is issued (saved by an earlier pass).
+//   SLIDE  — stream the remaining selected tiles from disk in layout order
+//            through the double-buffered TileStream (store/tile_stream.h,
+//            which owns the segments, batched reads, retries and the
+//            quiesce-before-throw unwind), processing one segment while the
+//            other loads.
 //   CACHE  — each processed segment offers its tiles to the cache pool under
-//            the configured policy; proactive analysis evicts tiles the
-//            algorithm's metadata rules out for the next iteration.
-//
-// ScheduleMode::kPriority replaces the grid-order iteration with bucketed
-// worklist rounds (docs/SCHEDULING.md): each round drains the minimum
-// priority bucket of tiles — cached ones first, then a SLIDE over the rest —
-// and re-files tiles whose priority the algorithm's updates changed.
+//            the configured policy; proactive analysis at the end of the
+//            pass evicts tiles the algorithm's metadata rules out next.
+// Grid mode selects by a layout scan through tile_needed. Priority mode
+// (docs/SCHEDULING.md) selects by draining the minimum bucket of a tile
+// worklist and re-files tiles whose priority the round's updates changed.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +35,7 @@ namespace gstore::store {
 //   kPriority — delta-stepping worklist: tiles carry algorithm-assigned
 //               priorities and rounds drain the minimum bucket first. The
 //               worklist subsumes selective fetch (an idle tile is simply
-//               never filed), so EngineConfig::selective_fetch is ignored.
+//               never filed).
 enum class ScheduleMode { kGrid, kPriority };
 
 struct EngineConfig {
@@ -42,9 +43,8 @@ struct EngineConfig {
   std::uint64_t segment_bytes = 8ull << 20;
   CachePolicyKind policy = CachePolicyKind::kProactive;
   ScheduleMode schedule = ScheduleMode::kGrid;
-  bool rewind = true;           // off = "base policy" of the Fig 13 ablation
-  bool selective_fetch = true;  // honour algo.tile_needed when fetching
-  bool overlap_io = true;       // double-buffer I/O with compute
+  bool rewind = true;      // off = "base policy" of the Fig 13 ablation
+  bool overlap_io = true;  // double-buffer I/O with compute
   std::uint32_t max_iterations = 100000;
   // Whole-tile retry budget applied by the engine to failed or truncated
   // tile reads, layered above the async engine's own per-read retries
@@ -92,9 +92,9 @@ struct EngineStats {
   // included in edges_processed).
   std::uint64_t overlay_edges = 0;
   std::uint64_t io_batches = 0;      // submit() calls (paper: batching saves syscalls)
-  // Bytes memcpy'd into the cache pool. The zero-copy data path pins
-  // segment slices instead of copying, so this stays 0; a nonzero value is
-  // a regression back to the copy path.
+  // Bytes memcpy'd into the cache pool: 0 by construction, since the pool
+  // has no copy path (it only pins segment slices). Kept so reports and the
+  // Fig 13 bench show the zero-copy property.
   std::uint64_t bytes_copied_to_pool = 0;
   // Segment buffers replaced because the pool still pinned slices of them
   // (the allocate-fresh-on-demand half of the zero-copy contract).

@@ -4,6 +4,12 @@
 #include <mutex>
 #include <set>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
+#include "algo/cc.h"
+#include "algo/pagerank.h"
 #include "graph/generator.h"
 #include "store/scr_engine.h"
 #include "test_util.h"
@@ -296,21 +302,6 @@ TEST(ScrEngine, ExactlyMaxIterationsSucceeds) {
   EXPECT_EQ(stats.iterations, 3u);
 }
 
-TEST(ScrEngine, SelectiveFetchDisabledStreamsEverything) {
-  io::TempDir dir;
-  auto store = kron_store(dir, 8, 4);
-  EngineConfig cfg = tiny_memory();
-  cfg.selective_fetch = false;
-  cfg.policy = CachePolicyKind::kNone;
-  cfg.rewind = false;
-  RecordingAlgo algo(2);
-  algo.needed_rows_ = {0};  // oracle says row 0 only — engine must ignore it
-  const auto stats = ScrEngine(store, cfg).run(algo);
-  EXPECT_EQ(stats.tiles_skipped, 0u);
-  EXPECT_EQ(stats.bytes_read,
-            2 * store.bytes_of_range(0, store.grid().tile_count()));
-}
-
 TEST(ScrEngine, FatTupleStoreStreamsCorrectByteCounts) {
   io::TempDir dir;
   auto el = graph::kronecker(8, 4, graph::GraphKind::kUndirected, 3);
@@ -514,6 +505,65 @@ TEST(ScrEngine, PriorityModeCoversSameTilesAsGrid) {
   EXPECT_EQ(prio_algo.edges_seen_, grid_algo.edges_seen_);
   EXPECT_EQ(stats.rounds, 3u);
   EXPECT_EQ(stats.iterations, 3u);
+}
+
+// Grid order is one bucket of needed tiles drained in layout order, so for
+// algorithms whose every needed tile lands in bucket 0 both schedules must
+// do the same I/O: the same tiles from disk and from cache, the same bytes
+// and the same edges, at a stream size that forces eviction and at one
+// that holds the whole store.
+TEST(ScrEngine, GridAndPriorityReportIdenticalCounters) {
+#ifdef _OPENMP
+  // WCC's sweep count depends on the order labels propagate in; one thread
+  // makes it a function of the tile order alone.
+  const int threads = omp_get_max_threads();
+  omp_set_num_threads(1);
+#endif
+  io::TempDir dir;
+  tile::ConvertOptions o;
+  o.tile_bits = 6;
+  auto store = gstore::testing::make_store(
+      dir, graph::kronecker(11, 16, GraphKind::kUndirected, 5), o);
+  const auto run = [&](ScheduleMode mode, std::uint64_t memory,
+                       TileAlgorithm& algo) {
+    EngineConfig cfg;
+    cfg.stream_memory_bytes = memory;
+    cfg.segment_bytes = std::min<std::uint64_t>(memory / 4, 1 << 20);
+    cfg.schedule = mode;
+    return ScrEngine(store, cfg).run(algo);
+  };
+  for (const std::uint64_t memory : {std::uint64_t{64} << 10,
+                                     std::uint64_t{64} << 20}) {
+    for (const bool wcc : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << (wcc ? "wcc" : "pagerank")
+                                      << " memory=" << memory);
+      algo::PageRankOptions popt;
+      popt.max_iterations = 4;
+      algo::TilePageRank pr_grid(popt), pr_prio(popt);
+      algo::TileWcc wcc_grid, wcc_prio;
+      TileAlgorithm& a = wcc ? static_cast<TileAlgorithm&>(wcc_grid) : pr_grid;
+      TileAlgorithm& b = wcc ? static_cast<TileAlgorithm&>(wcc_prio) : pr_prio;
+      const EngineStats g = run(ScheduleMode::kGrid, memory, a);
+      const EngineStats p = run(ScheduleMode::kPriority, memory, b);
+      EXPECT_EQ(g.iterations, p.iterations);
+      EXPECT_EQ(g.tiles_from_disk, p.tiles_from_disk);
+      EXPECT_EQ(g.tiles_from_cache, p.tiles_from_cache);
+      EXPECT_EQ(g.bytes_read, p.bytes_read);
+      EXPECT_EQ(g.edges_processed, p.edges_processed);
+      // The small stream re-reads evicted tiles; the large one serves
+      // later iterations from cache.
+      const std::uint64_t payload =
+          store.bytes_of_range(0, store.grid().tile_count());
+      if (memory < payload) {
+        EXPECT_GT(g.bytes_read, payload);
+      } else {
+        EXPECT_GT(g.tiles_from_cache, 0u);
+      }
+    }
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(threads);
+#endif
 }
 
 TEST(ScrEngine, PriorityStatsAreCoherent) {

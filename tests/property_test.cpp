@@ -64,7 +64,7 @@ TEST_P(RandomConfigTest, ResultsInvariantToEngineConfig) {
     cfg.policy = static_cast<store::CachePolicyKind>(rng.next_below(3));
     cfg.rewind = rng.next_below(2) == 0;
     cfg.overlap_io = rng.next_below(2) == 0;
-    cfg.selective_fetch = rng.next_below(2) == 0;
+    rng.next_below(2);  // formerly selective_fetch; keeps later draws stable
 
     algo::TileBfs bfs(0);
     store::ScrEngine(store, cfg).run(bfs);
@@ -396,7 +396,8 @@ TEST(PropertyCachePool, InvariantsHoldUnderRandomOps) {
   Xoshiro256 rng(31337);
   store::CachePool pool(10'000);
   std::map<std::uint64_t, std::size_t> shadow;  // idx -> size
-  std::vector<std::uint8_t> blob(2'000, 0x5c);
+  const auto blob = std::make_shared<std::vector<std::uint8_t>>(2'000, 0x5c);
+  const store::BufferPin pin(blob, blob->data());
 
   for (int op = 0; op < 3000; ++op) {
     const std::uint64_t idx = rng.next_below(40);
@@ -406,7 +407,7 @@ TEST(PropertyCachePool, InvariantsHoldUnderRandomOps) {
         const std::size_t old = shadow.count(idx) ? shadow[idx] : 0;
         const std::uint64_t used_without = pool.used() - old;
         const bool fits = used_without + sz <= pool.budget();
-        const bool ok = pool.insert(idx, blob.data(), sz);
+        const bool ok = pool.insert_pinned(idx, pin, sz);
         ASSERT_EQ(ok, fits) << "op " << op;
         if (ok) {
           shadow[idx] = sz;

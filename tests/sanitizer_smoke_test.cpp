@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <thread>
@@ -104,7 +105,7 @@ TEST(SanitizerSmoke, AsyncEngineConcurrentSubmitAndPoll) {
 //
 // CachePool is thread-compatible, not thread-safe: the engine serializes
 // access. This test reproduces that discipline (one mutex) while hammering
-// insert/erase/evict_lru/entries from N threads — ASan checks the copy
+// insert_pinned/erase/evict_lru/entries from N threads — ASan checks the pin
 // churn for buffer errors, TSan checks that the locking really covers every
 // access including reads through the entries() snapshot.
 
@@ -122,9 +123,14 @@ TEST(SanitizerSmoke, CachePoolConcurrentChurn) {
         std::memset(payload.data(), static_cast<int>(idx), bytes);
         std::lock_guard<std::mutex> lock(mu);
         switch (rng.next_below(4)) {
-          case 0:
-            pool.insert(idx, payload.data(), bytes);
+          case 0: {
+            // Each entry pins its own refcounted copy of the payload.
+            auto owner = std::make_shared<std::vector<std::uint8_t>>(
+                payload.begin(), payload.begin() + static_cast<long>(bytes));
+            pool.insert_pinned(idx, store::BufferPin(owner, owner->data()),
+                               bytes);
             break;
+          }
           case 1:
             pool.erase(idx);
             break;

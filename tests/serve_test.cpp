@@ -7,12 +7,14 @@
 
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "graph/generator.h"
 #include "ingest/ingestor.h"
+#include "io/file.h"
 #include "serve/client.h"
 #include "serve/job.h"
 #include "serve/protocol.h"
@@ -661,6 +663,80 @@ TEST(SharedScheduler, AdmitsTileLargerThanPerJobQuotaOnPoolHeadroom) {
                        static_cast<double>(gang.tiles_fetched);
   EXPECT_GE(dedup, static_cast<double>(kRounds));
   EXPECT_LT(gang.bytes_read, static_cast<std::uint64_t>(kRounds) * tile_bytes);
+}
+
+// A corrupt payload makes the tile decode throw FormatError inside the
+// gang's OpenMP dispatch region. The scheduler must capture it, drain the
+// stream's in-flight reads, fail every job on board with the decode error
+// and leave the device reusable: a second gang over the repaired file runs
+// to completion.
+TEST(SharedScheduler, CorruptPayloadFailsGangCleanly) {
+  io::TempDir dir;
+  tile::ConvertOptions opts;
+  opts.tile_bits = 5;  // many tiles, so the gang streams several segments
+  const std::string base = convert(
+      dir, graph::kronecker(9, 6, graph::GraphKind::kUndirected, 41), opts);
+  ingest::EdgeIngestor ingestor(base);
+  SnapshotManager snaps(ingestor);
+  serve::SnapshotRef pinned = snaps.acquire();
+  const std::string tiles =
+      tile::TileStore::tiles_path(tile::TileStore::resolve(base));
+  // Flip the first tile's codec byte (payloads start at file offset 64) to
+  // an out-of-range id; parse_tile_payload rejects it on dispatch.
+  std::uint8_t good = 0;
+  {
+    io::File f(tiles, io::OpenMode::kReadWrite);
+    f.pread_full(&good, 1, 64);
+    const std::uint8_t bad = 0xff;
+    f.pwrite_full(&bad, 1, 64);
+  }
+  serve::SchedulerConfig cfg;
+  cfg.stream_memory_bytes = 16 << 10;
+  cfg.segment_bytes = 2 << 10;
+
+  const auto run_gang = [&](std::vector<std::string>* errors) {
+    std::vector<JobSpec> specs(3);
+    specs[0].kind = JobKind::kWcc;
+    specs[1] = bfs_spec(0);
+    specs[2].kind = JobKind::kPageRank;
+    specs[2].max_iterations = 3;
+    std::vector<std::unique_ptr<store::TileAlgorithm>> algos;
+    std::vector<serve::GangJob> jobs;
+    for (std::size_t k = 0; k < specs.size(); ++k) {
+      algos.push_back(serve::make_algorithm(specs[k]));
+      jobs.push_back(serve::GangJob{k, algos.back().get(), {}});
+    }
+    std::vector<JobState> states;
+    serve::SharedScheduler sched(*pinned, cfg);
+    sched.run(std::move(jobs), nullptr,
+              [&](const serve::GangJob&, JobState st, const serve::JobStats&,
+                  const std::string& error) {
+                states.push_back(st);
+                errors->push_back(error);
+              });
+    return states;
+  };
+
+  std::vector<std::string> errors;
+  const std::vector<JobState> failed = run_gang(&errors);
+  ASSERT_EQ(failed.size(), 3u);
+  for (std::size_t k = 0; k < failed.size(); ++k) {
+    EXPECT_EQ(failed[k], JobState::kFailed);
+    EXPECT_NE(errors[k].find("codec"), std::string::npos) << errors[k];
+  }
+  std::vector<io::Completion> none;
+  EXPECT_EQ(pinned->store().device().poll(0, 64, none), 0u);
+
+  // Restore the byte: the same snapshot and device serve a clean gang.
+  {
+    io::File f(tiles, io::OpenMode::kReadWrite);
+    f.pwrite_full(&good, 1, 64);
+  }
+  errors.clear();
+  const std::vector<JobState> done = run_gang(&errors);
+  ASSERT_EQ(done.size(), 3u);
+  for (std::size_t k = 0; k < done.size(); ++k)
+    EXPECT_EQ(done[k], JobState::kDone) << errors[k];
 }
 
 }  // namespace

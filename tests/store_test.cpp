@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <numeric>
 
 #include "store/cache_pool.h"
@@ -12,8 +13,10 @@
 namespace gstore::store {
 namespace {
 
-std::vector<std::uint8_t> bytes(std::size_t n, std::uint8_t fill) {
-  return std::vector<std::uint8_t>(n, fill);
+// A refcounted buffer of n bytes, pinned whole the way a segment slice is.
+BufferPin bytes(std::size_t n, std::uint8_t fill) {
+  auto owner = std::make_shared<std::vector<std::uint8_t>>(n, fill);
+  return BufferPin(owner, owner->data());
 }
 
 // ---- MemoryBudget ---------------------------------------------------------
@@ -72,7 +75,7 @@ TEST(Segment, EnsureCapacityGrowsForOversizedTile) {
 TEST(CachePool, InsertWithinBudget) {
   CachePool pool(100);
   const auto d = bytes(40, 1);
-  EXPECT_TRUE(pool.insert(7, d.data(), d.size()));
+  EXPECT_TRUE(pool.insert_pinned(7, d, 40));
   EXPECT_TRUE(pool.contains(7));
   EXPECT_EQ(pool.used(), 40u);
   EXPECT_EQ(pool.free_bytes(), 60u);
@@ -81,8 +84,8 @@ TEST(CachePool, InsertWithinBudget) {
 TEST(CachePool, RejectsWhenFull) {
   CachePool pool(50);
   const auto d = bytes(40, 1);
-  EXPECT_TRUE(pool.insert(1, d.data(), d.size()));
-  EXPECT_FALSE(pool.insert(2, d.data(), d.size()));
+  EXPECT_TRUE(pool.insert_pinned(1, d, 40));
+  EXPECT_FALSE(pool.insert_pinned(2, d, 40));
   EXPECT_FALSE(pool.contains(2));
 }
 
@@ -90,8 +93,8 @@ TEST(CachePool, ReplaceSameTile) {
   CachePool pool(100);
   const auto a = bytes(40, 1);
   const auto b = bytes(60, 2);
-  EXPECT_TRUE(pool.insert(3, a.data(), a.size()));
-  EXPECT_TRUE(pool.insert(3, b.data(), b.size()));
+  EXPECT_TRUE(pool.insert_pinned(3, a, 40));
+  EXPECT_TRUE(pool.insert_pinned(3, b, 60));
   EXPECT_EQ(pool.used(), 60u);
   EXPECT_EQ(pool.tile_count(), 1u);
   EXPECT_EQ(pool.entries()[0].bytes, 60u);
@@ -101,7 +104,7 @@ TEST(CachePool, ReplaceSameTile) {
 TEST(CachePool, EraseFreesBudget) {
   CachePool pool(100);
   const auto d = bytes(70, 1);
-  pool.insert(1, d.data(), d.size());
+  pool.insert_pinned(1, d, 70);
   EXPECT_EQ(pool.erase(1), 70u);
   EXPECT_EQ(pool.erase(1), 0u);
   EXPECT_EQ(pool.used(), 0u);
@@ -110,9 +113,9 @@ TEST(CachePool, EraseFreesBudget) {
 TEST(CachePool, EntriesInLayoutOrder) {
   CachePool pool(1000);
   const auto d = bytes(10, 0);
-  pool.insert(9, d.data(), d.size());
-  pool.insert(2, d.data(), d.size());
-  pool.insert(5, d.data(), d.size());
+  pool.insert_pinned(9, d, 10);
+  pool.insert_pinned(2, d, 10);
+  pool.insert_pinned(5, d, 10);
   const auto entries = pool.entries();
   ASSERT_EQ(entries.size(), 3u);
   EXPECT_EQ(entries[0].layout_idx, 2u);
@@ -123,9 +126,9 @@ TEST(CachePool, EntriesInLayoutOrder) {
 TEST(CachePool, LruEvictionEvictsColdest) {
   CachePool pool(100);
   const auto d = bytes(30, 0);
-  pool.insert(1, d.data(), d.size());
-  pool.insert(2, d.data(), d.size());
-  pool.insert(3, d.data(), d.size());
+  pool.insert_pinned(1, d, 30);
+  pool.insert_pinned(2, d, 30);
+  pool.insert_pinned(3, d, 30);
   pool.touch(1);  // 2 is now coldest
   pool.evict_lru(30);
   EXPECT_TRUE(pool.contains(1));
@@ -133,18 +136,18 @@ TEST(CachePool, LruEvictionEvictsColdest) {
   EXPECT_TRUE(pool.contains(3));
 }
 
-TEST(CachePool, DataIsCopied) {
+TEST(CachePool, PinKeepsDataAlive) {
   CachePool pool(100);
   auto d = bytes(8, 0xaa);
-  pool.insert(0, d.data(), d.size());
-  d[0] = 0x00;  // mutate the source after insertion
+  pool.insert_pinned(0, d, 8);
+  d.reset();  // drop the caller's reference after insertion
   EXPECT_EQ(pool.entries()[0].data[0], 0xaa);
 }
 
 TEST(CachePool, ZeroBudgetAcceptsNothing) {
   CachePool pool(0);
   const auto d = bytes(1, 0);
-  EXPECT_FALSE(pool.insert(0, d.data(), d.size()));
+  EXPECT_FALSE(pool.insert_pinned(0, d, 1));
 }
 
 // ---- zero-copy pinning ------------------------------------------------------
@@ -206,19 +209,9 @@ TEST(CachePool, InsertPinnedIsZeroCopy) {
   std::memset(s.slot_data(s.slots()[0]), 0x7e, 16);
   CachePool pool(100);
   EXPECT_TRUE(pool.insert_pinned(4, s.pin_slot(s.slots()[0]), 16));
-  EXPECT_EQ(pool.bytes_copied(), 0u);
   EXPECT_EQ(pool.used(), 16u);
   // Zero-copy means the pool serves the segment's own bytes.
   EXPECT_EQ(pool.entries()[0].data, s.data());
-}
-
-TEST(CachePool, BytesCopiedCountsCopyingInserts) {
-  CachePool pool(100);
-  const auto d = bytes(8, 1);
-  EXPECT_TRUE(pool.insert(0, d.data(), d.size()));
-  EXPECT_EQ(pool.bytes_copied(), 8u);
-  EXPECT_TRUE(pool.insert(1, d.data(), d.size()));
-  EXPECT_EQ(pool.bytes_copied(), 16u);
 }
 
 TEST(CachePool, ErasedPinReleasesBuffer) {
@@ -235,8 +228,8 @@ TEST(CachePool, ErasedPinReleasesBuffer) {
 TEST(CachePool, ForEachEntryMatchesEntries) {
   CachePool pool(1000);
   const auto d = bytes(10, 3);
-  pool.insert(9, d.data(), d.size());
-  pool.insert(2, d.data(), d.size());
+  pool.insert_pinned(9, d, 10);
+  pool.insert_pinned(2, d, 10);
   std::vector<CachePool::Entry> seen;
   pool.for_each_entry([&](const CachePool::Entry& e) { seen.push_back(e); });
   const auto snapshot = pool.entries();
@@ -276,7 +269,7 @@ TEST(CachingPolicy, LruAlwaysCachesAndEvicts) {
   EXPECT_TRUE(p->should_cache(0, {0, 0}, algo));
   CachePool pool(50);
   const auto d = bytes(40, 0);
-  pool.insert(1, d.data(), d.size());
+  pool.insert_pinned(1, d, 40);
   tile::Grid grid(256, false, 4, 1);
   EXPECT_TRUE(p->make_room(pool, 40, grid, algo));
   EXPECT_EQ(pool.tile_count(), 0u);
@@ -298,7 +291,7 @@ TEST(CachingPolicy, ProactiveAnalyzeEvictsRuledOutTiles) {
   const auto d = bytes(10, 0);
   // Insert tiles from rows 0..7 (layout index of (i,0) in a p=8 full grid).
   for (std::uint32_t i = 0; i < 8; ++i)
-    pool.insert(grid.layout_index(i, 0), d.data(), d.size());
+    pool.insert_pinned(grid.layout_index(i, 0), d, 10);
   algo.useful_rows = {1, 4};
   p->analyze(pool, grid, algo);
   EXPECT_EQ(pool.tile_count(), 2u);
@@ -312,9 +305,9 @@ TEST(CachingPolicy, ProactiveMakeRoomOnlyDropsUseless) {
   tile::Grid grid(16 * 4, false, 4, 1);
   CachePool pool(30);
   const auto d = bytes(10, 0);
-  pool.insert(grid.layout_index(0, 0), d.data(), d.size());
-  pool.insert(grid.layout_index(1, 0), d.data(), d.size());
-  pool.insert(grid.layout_index(2, 0), d.data(), d.size());
+  pool.insert_pinned(grid.layout_index(0, 0), d, 10);
+  pool.insert_pinned(grid.layout_index(1, 0), d, 10);
+  pool.insert_pinned(grid.layout_index(2, 0), d, 10);
   algo.useful_rows = {0, 1, 2, 3};  // everything still useful
   EXPECT_FALSE(p->make_room(pool, 10, grid, algo));
   EXPECT_EQ(pool.tile_count(), 3u);  // nothing sacrificed

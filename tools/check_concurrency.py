@@ -43,9 +43,10 @@ R5 audited thread-safety escape hatches.
 R6 per-item dynamic scheduling.
    `schedule(dynamic, 1)` is banned in src/: one work item per dispatch is
    either pure scheduling overhead (swarms of near-empty tiles) or load
-   imbalance with nothing to steal (one hub tile per item). Chunk by cost
-   first (see cost_chunks in src/store/chunking.h) and use
-   schedule(dynamic) over the chunks.
+   imbalance with nothing to steal (one hub tile per item). Run tile
+   passes through parallel_for_costs in src/store/chunking.h, which chunks
+   by cost (cost_chunks), uses schedule(dynamic) over the chunks and
+   rethrows the first worker exception after the region joins.
 
 R7 detached threads.
    `.detach()` is banned in src/: a detached thread outlives every owner,
@@ -242,7 +243,8 @@ def main(root: Path) -> int:
                 findings.append(
                     f"{path}:{lineno}: R6: schedule(dynamic, 1) — chunk work "
                     f"items by cost and use schedule(dynamic) over the "
-                    f"chunks (see cost_chunks in src/store/chunking.h)"
+                    f"chunks (see parallel_for_costs in "
+                    f"src/store/chunking.h)"
                 )
 
             if DETACH.search(code):
