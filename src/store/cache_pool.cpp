@@ -57,7 +57,8 @@ void CachePool::touch(std::uint64_t layout_idx) {
 std::uint64_t CachePool::evict_lru(std::uint64_t needed) {
   MutexLock lock(mutex_);
   std::uint64_t freed = 0;
-  while (free_bytes_locked() + freed < needed && !tiles_.empty()) {
+  // free_bytes_locked() already counts what this loop has freed.
+  while (free_bytes_locked() < needed && !tiles_.empty()) {
     auto victim = tiles_.begin();
     for (auto it = tiles_.begin(); it != tiles_.end(); ++it)
       if (it->second.stamp < victim->second.stamp) victim = it;

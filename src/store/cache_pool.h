@@ -65,8 +65,8 @@ class CachePool {
   // Marks a tile as used this iteration (for LRU recency).
   void touch(std::uint64_t layout_idx) GSTORE_EXCLUDES(mutex_);
 
-  // Evicts least-recently-touched tiles until at least `needed` bytes are
-  // free. Returns bytes freed.
+  // Evicts least-recently inserted-or-touched tiles until at least `needed`
+  // bytes are free (or the pool is empty). Returns bytes freed.
   std::uint64_t evict_lru(std::uint64_t needed) GSTORE_EXCLUDES(mutex_);
 
   struct Entry {

@@ -9,46 +9,48 @@ namespace {
 
 class NonePolicy final : public CachingPolicy {
  public:
-  bool should_cache(std::uint64_t, const tile::TileCoord&,
-                    const TileAlgorithm&) const override {
-    return false;
-  }
-  bool make_room(CachePool&, std::uint64_t, const tile::Grid&,
-                 const TileAlgorithm&) override {
-    return false;
-  }
+  void admit(CachePool&, const Segment&, const tile::Grid&,
+             const TileAlgorithm&) override {}
   void analyze(CachePool&, const tile::Grid&, const TileAlgorithm&) override {}
 };
 
 class LruPolicy final : public CachingPolicy {
  public:
-  bool should_cache(std::uint64_t, const tile::TileCoord&,
-                    const TileAlgorithm&) const override {
-    return true;  // cache everything, recency decides evictions
-  }
-  bool make_room(CachePool& pool, std::uint64_t bytes, const tile::Grid&,
-                 const TileAlgorithm&) override {
-    pool.evict_lru(bytes);
-    return pool.free_bytes() >= bytes;
+  // Caches everything; recency decides the evictions.
+  void admit(CachePool& pool, const Segment& seg, const tile::Grid&,
+             const TileAlgorithm&) override {
+    for (const auto& slot : seg.slots()) {
+      if (slot.bytes > pool.free_bytes()) {
+        pool.evict_lru(slot.bytes);
+        if (slot.bytes > pool.free_bytes()) continue;
+      }
+      pool.insert_pinned(slot.layout_idx, seg.pin_slot(slot), slot.bytes);
+    }
   }
   void analyze(CachePool&, const tile::Grid&, const TileAlgorithm&) override {}
 };
 
 class ProactivePolicy final : public CachingPolicy {
  public:
-  bool should_cache(std::uint64_t, const tile::TileCoord& coord,
-                    const TileAlgorithm& algo) const override {
-    return algo.tile_useful_next(coord.i, coord.j);
-  }
-
-  bool make_room(CachePool& pool, std::uint64_t bytes, const tile::Grid& grid,
-                 const TileAlgorithm& algo) override {
-    // First drop pool entries the oracle has since ruled out; only if that
-    // is not enough does the new tile lose (we never evict useful data for
-    // equally-useful data — disk order means the incumbent would be needed
-    // sooner next iteration anyway, thanks to rewind).
-    analyze(pool, grid, algo);
-    return pool.free_bytes() >= bytes;
+  void admit(CachePool& pool, const Segment& seg, const tile::Grid& grid,
+             const TileAlgorithm& algo) override {
+    bool swept = false;
+    for (const auto& slot : seg.slots()) {
+      const tile::TileCoord c = grid.coord_at(slot.layout_idx);
+      if (!algo.tile_useful_next(c.i, c.j)) continue;
+      if (slot.bytes > pool.free_bytes()) {
+        // Make room by dropping only entries the oracle has ruled out; we
+        // never evict useful data for equally-useful data (disk order
+        // means the incumbent would be needed sooner next iteration anyway,
+        // thanks to rewind). One sweep per call suffices (see the header).
+        if (!swept) {
+          analyze(pool, grid, algo);
+          swept = true;
+        }
+        if (slot.bytes > pool.free_bytes()) continue;
+      }
+      pool.insert_pinned(slot.layout_idx, seg.pin_slot(slot), slot.bytes);
+    }
   }
 
   void analyze(CachePool& pool, const tile::Grid& grid,

@@ -5,13 +5,20 @@
 // the oracle has since ruled out. kLru is the FlashGraph-style baseline the
 // paper argues against; kNone is pure streaming (X-Stream-style, and the
 // "base policy" of Fig 13 when combined with rewind=off).
+//
+// The CACHE step is one admit() call per processed segment. It runs after
+// the segment's kernels have joined and before the next segment's start, so
+// no kernel runs during it and the tile_useful_next oracle is constant for
+// the whole call. That is why proactive sweeps the pool at most once per
+// call: after one sweep every pooled entry is useful next, and so is every
+// tile admitted since, so a second sweep could find no victim.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 
 #include "store/algorithm.h"
 #include "store/cache_pool.h"
+#include "store/segment.h"
 #include "tile/grid.h"
 
 namespace gstore::store {
@@ -22,15 +29,10 @@ class CachingPolicy {
  public:
   virtual ~CachingPolicy() = default;
 
-  // Whether a just-processed tile should be copied into the pool.
-  virtual bool should_cache(std::uint64_t layout_idx,
-                            const tile::TileCoord& coord,
-                            const TileAlgorithm& algo) const = 0;
-
-  // Makes room for `bytes` (called when an insert would not fit). Returns
-  // true if the tile should still be inserted after eviction.
-  virtual bool make_room(CachePool& pool, std::uint64_t bytes,
-                         const tile::Grid& grid, const TileAlgorithm& algo) = 0;
+  // The CACHE step for one processed segment: pins the slots the policy
+  // keeps into `pool`, in slot order, evicting as the policy allows.
+  virtual void admit(CachePool& pool, const Segment& seg,
+                     const tile::Grid& grid, const TileAlgorithm& algo) = 0;
 
   // Iteration-boundary analysis: drop entries the oracle now rules out
   // (proactive) or do nothing (LRU/None).

@@ -91,23 +91,16 @@ struct ScrEngine::Runner {
   }
 
   // One streamed segment: process its tiles, then the CACHE step of
-  // slide-cache-rewind — pin refcounted slices of the segment buffer
-  // instead of copying tile bytes into the pool.
+  // slide-cache-rewind — one policy call that pins refcounted slices of the
+  // segment buffer instead of copying tile bytes into the pool. It runs
+  // after the kernels have joined, so the policy's oracle is constant.
   void process_segment(const Segment& seg) {
     seg_tiles.clear();
     for (const auto& slot : seg.slots())
       seg_tiles.push_back({slot.layout_idx, seg.slot_data(slot), slot.bytes});
     // Throws before any possibly-corrupt tile below is pinned.
     process_tiles(seg_tiles);
-    if (pool.budget() == 0) return;
-    for (const auto& slot : seg.slots()) {
-      const tile::TileCoord c = grid.coord_at(slot.layout_idx);
-      if (!policy->should_cache(slot.layout_idx, c, algo)) continue;
-      if (slot.bytes > pool.free_bytes() &&
-          !policy->make_room(pool, slot.bytes, grid, algo))
-        continue;
-      pool.insert_pinned(slot.layout_idx, seg.pin_slot(slot), slot.bytes);
-    }
+    if (pool.budget() != 0) policy->admit(pool, seg, grid, algo);
   }
 
   // Snapshots the pool (layout order) at the start of an iteration or

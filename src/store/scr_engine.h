@@ -9,9 +9,10 @@
 //            which owns the segments, batched reads, retries and the
 //            quiesce-before-throw unwind), processing one segment while the
 //            other loads.
-//   CACHE  — each processed segment offers its tiles to the cache pool under
-//            the configured policy; proactive analysis at the end of the
-//            pass evicts tiles the algorithm's metadata rules out next.
+//   CACHE  — each processed segment offers its tiles to the cache pool in
+//            one call to the configured policy (store/caching_policy.h);
+//            proactive analysis at the end of the pass evicts tiles the
+//            algorithm's metadata rules out next.
 // Grid mode selects by a layout scan through tile_needed. Priority mode
 // (docs/SCHEDULING.md) selects by draining the minimum bucket of a tile
 // worklist and re-files tiles whose priority the round's updates changed.

@@ -3,6 +3,8 @@
 #include <cstring>
 #include <memory>
 #include <numeric>
+#include <set>
+#include <vector>
 
 #include "store/cache_pool.h"
 #include "store/caching_policy.h"
@@ -136,6 +138,20 @@ TEST(CachePool, LruEvictionEvictsColdest) {
   EXPECT_TRUE(pool.contains(3));
 }
 
+TEST(CachePool, LruEvictionFreesNeededBytes) {
+  CachePool pool(100);
+  const auto d = bytes(10, 0);
+  for (std::uint64_t idx = 0; idx < 10; ++idx) pool.insert_pinned(idx, d, 10);
+  pool.touch(0);  // 1, 2, 3 are now the coldest
+  EXPECT_EQ(pool.evict_lru(30), 30u);
+  EXPECT_EQ(pool.free_bytes(), 30u);
+  EXPECT_EQ(pool.tile_count(), 7u);
+  EXPECT_TRUE(pool.contains(0));
+  EXPECT_FALSE(pool.contains(1));
+  EXPECT_FALSE(pool.contains(3));
+  EXPECT_TRUE(pool.contains(4));
+}
+
 TEST(CachePool, PinKeepsDataAlive) {
   CachePool pool(100);
   auto d = bytes(8, 0xaa);
@@ -252,35 +268,60 @@ class StubAlgo final : public TileAlgorithm {
   void process_tile(const tile::TileView&) override {}
   bool end_iteration(std::uint32_t) override { return false; }
   bool tile_useful_next(std::uint32_t i, std::uint32_t) const override {
+    ++oracle_calls;
     return useful_rows.empty() || useful_rows.count(i) > 0;
   }
   std::set<std::uint32_t> useful_rows;  // empty = everything useful
+  mutable std::size_t oracle_calls = 0;
 };
+
+// A processed segment holding one `bytes`-sized slot per tile, in order.
+Segment segment_of(const std::vector<std::uint64_t>& tiles,
+                   std::uint64_t bytes) {
+  Segment seg(tiles.size() * bytes);
+  for (const std::uint64_t idx : tiles) seg.try_add(idx, bytes);
+  return seg;
+}
+
+std::vector<std::uint64_t> pooled_tiles(const CachePool& pool) {
+  std::vector<std::uint64_t> out;
+  for (const auto& e : pool.entries()) out.push_back(e.layout_idx);
+  return out;
+}
 
 TEST(CachingPolicy, NoneNeverCaches) {
   auto p = CachingPolicy::make(CachePolicyKind::kNone);
   StubAlgo algo;
-  EXPECT_FALSE(p->should_cache(0, {0, 0}, algo));
+  tile::Grid grid(16 * 4, false, 4, 1);
+  CachePool pool(100);
+  p->admit(pool, segment_of({grid.layout_index(0, 0)}, 10), grid, algo);
+  EXPECT_EQ(pool.tile_count(), 0u);
 }
 
 TEST(CachingPolicy, LruAlwaysCachesAndEvicts) {
   auto p = CachingPolicy::make(CachePolicyKind::kLru);
   StubAlgo algo;
-  EXPECT_TRUE(p->should_cache(0, {0, 0}, algo));
+  algo.useful_rows = {3};  // LRU ignores the oracle
+  tile::Grid grid(16 * 4, false, 4, 1);
   CachePool pool(50);
   const auto d = bytes(40, 0);
-  pool.insert_pinned(1, d, 40);
-  tile::Grid grid(256, false, 4, 1);
-  EXPECT_TRUE(p->make_room(pool, 40, grid, algo));
-  EXPECT_EQ(pool.tile_count(), 0u);
+  pool.insert_pinned(grid.layout_index(1, 0), d, 40);
+  p->admit(pool, segment_of({grid.layout_index(0, 0)}, 40), grid, algo);
+  EXPECT_EQ(pooled_tiles(pool),
+            std::vector<std::uint64_t>{grid.layout_index(0, 0)});
 }
 
 TEST(CachingPolicy, ProactiveConsultsOracle) {
   auto p = CachingPolicy::make(CachePolicyKind::kProactive);
   StubAlgo algo;
   algo.useful_rows = {2};
-  EXPECT_TRUE(p->should_cache(0, {2, 3}, algo));
-  EXPECT_FALSE(p->should_cache(0, {1, 3}, algo));
+  tile::Grid grid(16 * 4, false, 4, 1);
+  CachePool pool(100);
+  p->admit(pool,
+           segment_of({grid.layout_index(1, 3), grid.layout_index(2, 3)}, 10),
+           grid, algo);
+  EXPECT_EQ(pooled_tiles(pool),
+            std::vector<std::uint64_t>{grid.layout_index(2, 3)});
 }
 
 TEST(CachingPolicy, ProactiveAnalyzeEvictsRuledOutTiles) {
@@ -308,12 +349,69 @@ TEST(CachingPolicy, ProactiveMakeRoomOnlyDropsUseless) {
   pool.insert_pinned(grid.layout_index(0, 0), d, 10);
   pool.insert_pinned(grid.layout_index(1, 0), d, 10);
   pool.insert_pinned(grid.layout_index(2, 0), d, 10);
+  const Segment seg = segment_of({grid.layout_index(3, 0)}, 10);
   algo.useful_rows = {0, 1, 2, 3};  // everything still useful
-  EXPECT_FALSE(p->make_room(pool, 10, grid, algo));
+  p->admit(pool, seg, grid, algo);
   EXPECT_EQ(pool.tile_count(), 3u);  // nothing sacrificed
-  algo.useful_rows = {0};
-  EXPECT_TRUE(p->make_room(pool, 10, grid, algo));
-  EXPECT_EQ(pool.tile_count(), 1u);
+  EXPECT_FALSE(pool.contains(grid.layout_index(3, 0)));
+  algo.useful_rows = {0, 3};  // rows 1 and 2 ruled out
+  p->admit(pool, seg, grid, algo);
+  EXPECT_EQ(pooled_tiles(pool),
+            (std::vector<std::uint64_t>{grid.layout_index(0, 0),
+                                        grid.layout_index(3, 0)}));
+}
+
+// Reference CACHE step: proactive admission decided slot by slot, sweeping
+// the pool again for every useful slot that does not fit.
+void admit_per_slot(CachingPolicy& p, CachePool& pool, const Segment& seg,
+                    const tile::Grid& grid, const TileAlgorithm& algo) {
+  for (const auto& slot : seg.slots()) {
+    const tile::TileCoord c = grid.coord_at(slot.layout_idx);
+    if (!algo.tile_useful_next(c.i, c.j)) continue;
+    if (slot.bytes > pool.free_bytes()) {
+      p.analyze(pool, grid, algo);
+      if (slot.bytes > pool.free_bytes()) continue;
+    }
+    pool.insert_pinned(slot.layout_idx, seg.pin_slot(slot), slot.bytes);
+  }
+}
+
+TEST(CachingPolicy, ProactiveAdmitSweepsOncePerSegment) {
+  tile::Grid grid(16 * 8, false, 4, 1);  // p = 8
+  constexpr std::size_t kP = 8;           // pooled tiles, column 0
+  constexpr std::size_t kS = 8;           // segment slots, column 1
+  std::vector<std::uint64_t> slots;
+  for (std::uint32_t i = 0; i < kS; ++i) slots.push_back(grid.layout_index(i, 1));
+  const Segment seg = segment_of(slots, 10);
+
+  // Case 1: a full pool of useful tiles and a segment of useful slots that
+  // do not fit. Case 2: the oracle rules out rows 1 and 4, so their pooled
+  // tiles go, and later useful slots fill the room they leave.
+  for (const auto& useful : {std::set<std::uint32_t>{},
+                             std::set<std::uint32_t>{0, 2, 3, 5, 6, 7}}) {
+    auto p = CachingPolicy::make(CachePolicyKind::kProactive);
+    auto ref_p = CachingPolicy::make(CachePolicyKind::kProactive);
+    StubAlgo algo;
+    algo.useful_rows = useful;
+    CachePool pool(kP * 10);
+    CachePool ref(kP * 10);
+    const auto d = bytes(10, 0);
+    for (std::uint32_t i = 0; i < kP; ++i) {
+      pool.insert_pinned(grid.layout_index(i, 0), d, 10);
+      ref.insert_pinned(grid.layout_index(i, 0), d, 10);
+    }
+    p->admit(pool, seg, grid, algo);
+    EXPECT_LE(algo.oracle_calls, kS + kP);
+    admit_per_slot(*ref_p, ref, seg, grid, algo);
+    EXPECT_EQ(pooled_tiles(pool), pooled_tiles(ref));
+    if (useful.empty()) continue;
+    EXPECT_EQ(pool.tile_count(), kP);
+    EXPECT_FALSE(pool.contains(grid.layout_index(1, 0)));
+    EXPECT_FALSE(pool.contains(grid.layout_index(4, 0)));
+    EXPECT_TRUE(pool.contains(grid.layout_index(0, 1)));
+    EXPECT_TRUE(pool.contains(grid.layout_index(2, 1)));
+    EXPECT_FALSE(pool.contains(grid.layout_index(3, 1)));
+  }
 }
 
 }  // namespace
