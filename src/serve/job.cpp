@@ -47,17 +47,24 @@ class NeighborhoodQuery final : public store::TileAlgorithm {
   void begin_iteration(std::uint32_t) override {}
 
   void process_tile(const tile::TileView& view) override {
-    std::vector<graph::vid_t> found;
-    tile::visit_edges(view, [&](graph::vid_t s, graph::vid_t d) {
-      if (s == v_) found.push_back(d);
-      else if (collect_reverse_ && d == v_) found.push_back(s);
-    });
-    if (found.empty()) return;
+    process_tile_blocked(view);
+  }
+
+  void process_block(const tile::EdgeBlock& block) override {
+    graph::vid_t found[tile::EdgeBlock::kMaxEdges];
+    std::uint32_t n = 0;
+    for (std::uint32_t k = 0; k < block.size; ++k) {
+      const graph::vid_t s = block.src[k];
+      const graph::vid_t d = block.dst[k];
+      if (s == v_) found[n++] = d;
+      else if (collect_reverse_ && d == v_) found[n++] = s;
+    }
+    if (n == 0) return;
     MutexLock lock(mu_);
-    // GL-SAFE(GL1): tiles are processed concurrently and each appends its
+    // GL-SAFE(GL1): blocks are processed concurrently and each appends its
     // (tiny, pre-collected) matches; the append must be under the lock and
     // the scan above already ran outside it.
-    neighbors_.insert(neighbors_.end(), found.begin(), found.end());
+    neighbors_.insert(neighbors_.end(), found, found + n);
   }
 
   bool end_iteration(std::uint32_t) override {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -12,6 +13,7 @@
 #include "store/chunking.h"
 #include "store/memory_budget.h"
 #include "store/tile_stream.h"
+#include "tile/edge_block.h"
 #include "tile/overlay.h"
 #include "util/dcheck.h"
 #include "util/logging.h"
@@ -120,21 +122,25 @@ struct SharedScheduler::Runner {
   }
 
   // Delivers one tile's payload to every subscribed job, splicing the
-  // frozen overlay in as a second view (same contract as ScrEngine).
+  // frozen overlay in as a second view (same contract as ScrEngine). Each
+  // view is decoded once and every block goes to all subscribers, so a
+  // tile wanted by k jobs costs one decode, not k; each job still sees the
+  // base blocks in storage order, then the overlay's.
   void dispatch(std::uint64_t layout_idx, const std::uint8_t* data,
                 Mask mask) {
+    const auto fan_out = [&](const tile::EdgeBlock& b) {
+      for_bits(mask,
+               [&](std::size_t k) { slots[k].job.algo->process_block(b); });
+    };
     const tile::TileView v = store.view(layout_idx, data);
-    std::span<const tile::SnbEdge> extra;
-    if (overlay != nullptr) extra = overlay->tile_edges(layout_idx);
+    tile::for_each_block(v, fan_out);
+    if (overlay == nullptr) return;
+    const std::span<const tile::SnbEdge> extra =
+        overlay->tile_edges(layout_idx);
     // splice_view resets the representation to raw in-memory SNB tuples —
     // overlays exist only for SNB stores, whatever codec the base tile used.
-    const tile::TileView ov =
-        extra.empty() ? v : tile::splice_view(v, extra);
-    for_bits(mask, [&](std::size_t k) {
-      store::TileAlgorithm& algo = *slots[k].job.algo;
-      algo.process_tile(v);
-      if (!extra.empty()) algo.process_tile(ov);
-    });
+    if (!extra.empty())
+      tile::for_each_block(tile::splice_view(v, extra), fan_out);
   }
 
   // Runs every tile's subscribed kernels in parallel (cached entries, a

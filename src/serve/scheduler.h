@@ -11,10 +11,12 @@
 //            each tile's bytes are read once through the same TileStream
 //            ScrEngine uses (store/tile_stream.h: double-buffered,
 //            coalesced, whole-tile retries, quiesce before any exception
-//            escapes) and the decoded payload is dispatched to every
-//            subscribed job's kernel before the segment is reused.
-//            This is the shared-I/O dedup: 32 BFS jobs over the same graph
-//            cost ~1× the bytes, not 32×.
+//            escapes). Each tile is decoded once per round and every
+//            EdgeBlock goes to each subscribed job's process_block() before
+//            the segment is reused; the overlay splice is decoded once too
+//            and delivered after the base blocks. This is the shared-I/O and
+//            shared-decode dedup: 32 BFS jobs over the same graph cost ~1×
+//            the bytes and ~1× the decode work, not 32×.
 //   CACHE  — processed tiles are offered to the SHARED cache pool under a
 //            fairness policy: the pool budget is split into per-job quotas
 //            (budget / active jobs) and a tile is admitted only while some

@@ -11,8 +11,8 @@
 //                             urgent is this tile's pending work? The engine's
 //                             priority mode drains the minimum bucket per
 //                             round instead of sliding the grid in row order.
-// process_tile() may be called concurrently for different tiles; metadata
-// updates must be thread-safe.
+// process_tile() and process_block() may be called concurrently for
+// different tiles; metadata updates must be thread-safe.
 //
 // Two compute paths exist (docs/HOTPATH.md):
 //   * per-edge   — process_tile() iterates with tile::visit_edges. Simple,
@@ -21,6 +21,12 @@
 //                  decodes the tile into SoA EdgeBlocks and calls
 //                  process_block() per block. Hot algorithms override
 //                  process_block() with a branch-hoisted, prefetching kernel.
+//
+// ScrEngine drives process_tile(). The serve gang scheduler decodes each
+// tile once and drives every subscriber block-wise: it calls only
+// process_block(), base view first and then the overlay view, so an
+// algorithm that implements only process_tile() runs there through the
+// default process_block() below.
 #pragma once
 
 #include <cstdint>

@@ -5,13 +5,19 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "algo/pagerank.h"
 #include "graph/generator.h"
 #include "ingest/ingestor.h"
 #include "io/file.h"
@@ -24,6 +30,8 @@
 #include "store/scr_engine.h"
 #include "test_util.h"
 #include "tile/convert.h"
+#include "tile/edge_block.h"
+#include "tile/overlay.h"
 #include "util/status.h"
 
 namespace gstore {
@@ -737,6 +745,243 @@ TEST(SharedScheduler, CorruptPayloadFailsGangCleanly) {
   ASSERT_EQ(done.size(), 3u);
   for (std::size_t k = 0; k < done.size(); ++k)
     EXPECT_EQ(done[k], JobState::kDone) << errors[k];
+}
+
+// ---- block-wise gang delivery ----------------------------------------------
+
+// Kron-9 on 16x16 tiles (tile_bits 5), so the writer picks several codecs,
+// plus a dense 32x32 block (rows 0-31 x columns 32-63) so that one tile
+// spans several 512-edge blocks.
+graph::EdgeList multi_codec_graph() {
+  graph::EdgeList el =
+      graph::kronecker(9, 6, graph::GraphKind::kUndirected, 41);
+  for (graph::vid_t s = 0; s < 32; ++s)
+    for (graph::vid_t d = 32; d < 64; ++d)
+      el.mutable_edges().push_back({s, d});
+  return el;
+}
+
+std::string multi_codec_store(const io::TempDir& dir) {
+  tile::ConvertOptions opts;
+  opts.tile_bits = 5;
+  return convert(dir, multi_codec_graph(), opts);
+}
+
+// Ingests WAL overlay edges over tiles that have base bytes, plus one edge
+// into the first tile the base store leaves empty, so the gang's
+// overlay-only pass runs too. Returns the edges.
+std::vector<graph::Edge> ingest_live_edges(ingest::EdgeIngestor& ingestor) {
+  std::vector<graph::Edge> edges = {{10, 500}, {7, 42}, {300, 301},
+                                    {480, 500}, {0, 3}, {40, 64}};
+  const tile::TileStore& store = ingestor.store();
+  for (std::uint64_t idx = 0; idx < store.grid().tile_count(); ++idx) {
+    if (store.tile_bytes(idx) != 0) continue;
+    const tile::TileCoord c = store.grid().coord_at(idx);
+    edges.push_back({store.grid().tile_base(c.i) + 1,
+                     store.grid().tile_base(c.j) + 2});
+    break;
+  }
+  ingestor.ingest(edges);
+  return edges;
+}
+
+// One block as a subscriber saw it.
+struct SeenBlock {
+  std::size_t first = 0;
+  std::uint32_t size = 0;
+  std::vector<graph::vid_t> src;
+  std::vector<graph::vid_t> dst;
+  bool operator==(const SeenBlock&) const = default;
+};
+using BlocksByTile = std::map<std::uint64_t, std::vector<SeenBlock>>;
+
+void record_block(const tile::Grid& grid, const tile::EdgeBlock& b,
+                  BlocksByTile& out) {
+  out[grid.layout_index(b.view->coord.i, b.view->coord.j)].push_back(
+      SeenBlock{b.first, b.size, {b.src, b.src + b.size},
+                {b.dst, b.dst + b.size}});
+}
+
+// One-round subscriber to every tile that records the blocks it is handed
+// and counts process_tile() calls (which a block-wise gang never makes).
+class BlockRecorder final : public store::TileAlgorithm {
+ public:
+  std::string name() const override { return "block-recorder"; }
+  void init(const tile::TileStore& store) override { grid_ = &store.grid(); }
+  void begin_iteration(std::uint32_t) override {}
+  void process_tile(const tile::TileView&) override { ++tile_calls_; }
+  void process_block(const tile::EdgeBlock& b) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    record_block(*grid_, b, blocks_);
+  }
+  bool end_iteration(std::uint32_t) override { return false; }
+
+  std::uint64_t tile_calls() const { return tile_calls_.load(); }
+  const BlocksByTile& blocks() const { return blocks_; }
+
+ private:
+  const tile::Grid* grid_ = nullptr;
+  std::atomic<std::uint64_t> tile_calls_{0};
+  std::mutex mu_;
+  BlocksByTile blocks_;
+};
+
+// The gang decodes each tile once and hands every block to each
+// subscriber: no subscriber gets a process_tile() call, and each sees, per
+// tile, exactly the blocks of a solo for_each_block over the base view
+// followed by the overlay view.
+TEST(SharedScheduler, DeliversEachTileBlockwiseOnce) {
+  io::TempDir dir;
+  ingest::EdgeIngestor ingestor(multi_codec_store(dir));
+  ingest_live_edges(ingestor);
+  SnapshotManager snaps(ingestor);
+  serve::SnapshotRef pinned = snaps.acquire();
+  tile::TileStore& store = pinned->store();
+  const tile::TileOverlay* overlay = store.overlay();
+  ASSERT_NE(overlay, nullptr);
+
+  // Solo reference: base blocks, then the spliced overlay's blocks.
+  const std::uint64_t tiles = store.grid().tile_count();
+  std::vector<std::uint8_t> all(store.bytes_of_range(0, tiles));
+  store.read_range(0, tiles, all.data());
+  BlocksByTile want;
+  const auto record = [&](const tile::EdgeBlock& b) {
+    record_block(store.grid(), b, want);
+  };
+  std::set<tile::TileCodec> codecs;
+  std::uint64_t overlay_tiles = 0;
+  std::uint64_t overlay_only_tiles = 0;
+  for (std::uint64_t idx = 0; idx < tiles; ++idx) {
+    const tile::TileView v = store.view(
+        idx, all.data() + (store.tile_offset(idx) - store.tile_offset(0)));
+    if (store.tile_bytes(idx) != 0) codecs.insert(v.codec);
+    tile::for_each_block(v, record);
+    const auto extra = overlay->tile_edges(idx);
+    if (extra.empty()) continue;
+    ++overlay_tiles;
+    if (store.tile_bytes(idx) == 0) ++overlay_only_tiles;
+    tile::for_each_block(tile::splice_view(v, extra), record);
+  }
+  ASSERT_GE(codecs.size(), 2u) << "store should mix codecs";
+  ASSERT_GE(overlay_tiles, 2u);
+  ASSERT_EQ(overlay_only_tiles, 1u);
+  // The dense tile spans several base blocks.
+  ASSERT_TRUE(std::any_of(want.begin(), want.end(), [](const auto& t) {
+    return std::any_of(t.second.begin(), t.second.end(),
+                       [](const SeenBlock& b) { return b.first > 0; });
+  }));
+
+  serve::SchedulerConfig cfg;
+  cfg.stream_memory_bytes = 16 << 10;
+  cfg.segment_bytes = 2 << 10;
+  BlockRecorder subs[3];
+  std::vector<serve::GangJob> jobs;
+  for (std::uint64_t k = 0; k < 3; ++k) jobs.push_back({k, &subs[k], {}});
+  serve::SharedScheduler sched(*pinned, cfg);
+  std::vector<JobState> states;
+  const serve::GangStats gang = sched.run(
+      std::move(jobs), nullptr,
+      [&](const serve::GangJob&, JobState st, const serve::JobStats&,
+          const std::string& error) {
+        states.push_back(st);
+        EXPECT_TRUE(error.empty()) << error;
+      });
+
+  ASSERT_EQ(states.size(), 3u);
+  EXPECT_EQ(gang.tile_dispatches, 3 * want.size());
+  for (const BlockRecorder& r : subs) {
+    EXPECT_EQ(r.tile_calls(), 0u);
+    EXPECT_TRUE(r.blocks() == want) << "block sequence differs from solo";
+  }
+}
+
+// Sibling of MixedGangBitIdenticalToSerial over a multi-tile, multi-codec
+// store with overlay edges and a small stream budget, so blocks cross tile
+// and segment boundaries and the shared pool serves later rounds. PageRank's
+// cross-tile float accumulation order depends on the OpenMP schedule, so it
+// agrees to within the usual rank tolerance instead of bit for bit.
+TEST(SharedScheduler, MultiTileGangBitIdenticalToSerial) {
+  io::TempDir dir;
+  ingest::EdgeIngestor ingestor(multi_codec_store(dir));
+  std::vector<graph::Edge> all_edges = ingest_live_edges(ingestor);
+  const graph::EdgeList base_el = multi_codec_graph();
+  all_edges.insert(all_edges.end(), base_el.edges().begin(),
+                   base_el.edges().end());
+
+  std::vector<JobSpec> specs;
+  for (graph::vid_t r : {0u, 10u, 300u}) specs.push_back(bfs_spec(r));
+  for (JobKind kind : {JobKind::kSssp, JobKind::kWcc, JobKind::kPageRank,
+                       JobKind::kNeighbors, JobKind::kNeighbors}) {
+    JobSpec s;
+    s.kind = kind;
+    specs.push_back(s);
+  }
+  specs[3].vertex = 7;
+  specs[5].max_iterations = 10;
+  specs[6].vertex = 500;  // gains neighbours from the overlay
+  specs[7].vertex = 40;   // reverse edges in both blocks of the dense tile
+
+  std::vector<std::unique_ptr<store::TileAlgorithm>> serial;
+  for (const JobSpec& s : specs) {
+    serial.push_back(serve::make_algorithm(s));
+    store::ScrEngine engine(ingestor.store(), store::EngineConfig{});
+    engine.run(*serial.back());
+  }
+
+  SnapshotManager snaps(ingestor);
+  serve::SnapshotRef pinned = snaps.acquire();
+  serve::SchedulerConfig cfg;
+  cfg.stream_memory_bytes = 16 << 10;
+  cfg.segment_bytes = 2 << 10;
+  std::vector<std::unique_ptr<store::TileAlgorithm>> ganged;
+  std::vector<serve::GangJob> jobs;
+  for (std::size_t k = 0; k < specs.size(); ++k) {
+    ganged.push_back(serve::make_algorithm(specs[k]));
+    jobs.push_back(serve::GangJob{k, ganged.back().get(), {}});
+  }
+  serve::SharedScheduler sched(*pinned, cfg);
+  std::size_t finished = 0;
+  const serve::GangStats gang = sched.run(
+      std::move(jobs), nullptr,
+      [&](const serve::GangJob& job, JobState st, const serve::JobStats&,
+          const std::string& error) {
+        EXPECT_EQ(st, JobState::kDone) << "job " << job.id << ": " << error;
+        ++finished;
+      });
+  ASSERT_EQ(finished, specs.size());
+  EXPECT_GT(gang.tiles_from_cache, 0u);
+
+  for (std::size_t k = 0; k < specs.size(); ++k) {
+    const Json want = serve::make_result(specs[k], *serial[k]);
+    const Json got = serve::make_result(specs[k], *ganged[k]);
+    if (specs[k].kind == JobKind::kNeighbors) {
+      // The serial engine runs the same kernel, so also check the
+      // adjacency itself against the edge list.
+      std::set<std::uint64_t> adj;
+      for (const graph::Edge& e : all_edges) {
+        if (e.src == e.dst) continue;
+        if (e.src == specs[k].vertex) adj.insert(e.dst);
+        if (e.dst == specs[k].vertex) adj.insert(e.src);
+      }
+      std::vector<std::uint64_t> listed;
+      for (const Json& u : got.at("neighbors").items())
+        listed.push_back(u.as_uint());
+      EXPECT_EQ(listed, std::vector<std::uint64_t>(adj.begin(), adj.end()))
+          << "neighbors of " << specs[k].vertex;
+    }
+    if (specs[k].kind != JobKind::kPageRank) {
+      EXPECT_EQ(digest_of(got), digest_of(want))
+          << to_string(specs[k].kind) << " job " << k
+          << " diverged from the serial engine";
+      continue;
+    }
+    const auto& a = dynamic_cast<const algo::TilePageRank&>(*serial[k]);
+    const auto& b = dynamic_cast<const algo::TilePageRank&>(*ganged[k]);
+    EXPECT_EQ(b.iterations_run(), a.iterations_run());
+    ASSERT_EQ(b.ranks().size(), a.ranks().size());
+    for (std::size_t v = 0; v < a.ranks().size(); ++v)
+      ASSERT_NEAR(b.ranks()[v], a.ranks()[v], 1e-4) << "vertex " << v;
+  }
 }
 
 }  // namespace
