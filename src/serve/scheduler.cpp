@@ -251,27 +251,34 @@ struct SharedScheduler::Runner {
   // ---- one gang round ----------------------------------------------------
 
   // The shared slide–cache–rewind pass of ScrEngine, over the union of the
-  // active jobs' needed tiles: cached tiles are dispatched first (REWIND,
-  // no I/O), the rest stream once through the TileStream for every
-  // subscriber, and overlay tiles with no base bytes get a no-I/O pass.
+  // active jobs' needed tiles: tiles in the pool or still resident in the
+  // stream's two segments are dispatched first (REWIND, no I/O, before the
+  // slide's first fill can overwrite a segment), the rest stream once
+  // through the TileStream for every subscriber, and overlay tiles with no
+  // base bytes get a no-I/O pass.
   void run_round() {
     for_bits(occupied,
              [&](std::size_t k) { slots[k].job.algo->begin_iteration(slots[k].iter); });
 
     pooled.clear();
+    resident.clear();
     if (config.rewind) {
       pool.for_each_entry(
           [&](const CachePool::Entry& e) { pooled.push_back(e); });
+      stream.for_each_resident([&](const Segment& seg,
+                                   const store::TileSlot& slot) {
+        resident.push_back({slot.layout_idx, seg.slot_data(slot), slot.bytes});
+      });
     } else {
       pool.clear();
       cache_info.clear();
       charged.fill(0);
     }
 
-    // Layout scan: each tile with data goes to the cached, fetch or
-    // overlay-only list under its subscriber set. Cached tiles nobody wants
-    // this round stay cached but are not dispatched; stored tiles neither
-    // wanted nor cached are skipped.
+    // Layout scan: each tile with data goes to the cached (pool, else
+    // segment-resident), fetch or overlay-only list under its subscriber
+    // set. Cached tiles nobody wants this round stay cached but are not
+    // dispatched; stored tiles neither wanted nor pooled are skipped.
     cached.clear();
     cached_masks.clear();
     fetch.clear();
@@ -279,18 +286,22 @@ struct SharedScheduler::Runner {
     delta_only.clear();
     delta_masks.clear();
     std::size_t ci = 0;
+    std::size_t ri = 0;
     for (std::uint64_t idx = 0; idx < grid.tile_count(); ++idx) {
       const bool base = store.tile_bytes(idx) != 0;
       if (!base && !std::binary_search(overlay_tiles.begin(),
                                        overlay_tiles.end(), idx))
         continue;
       while (ci < pooled.size() && pooled[ci].layout_idx < idx) ++ci;
+      while (ri < resident.size() && resident[ri].layout_idx < idx) ++ri;
       const bool in_pool = ci < pooled.size() && pooled[ci].layout_idx == idx;
+      const bool in_seg =
+          ri < resident.size() && resident[ri].layout_idx == idx;
       const Mask m = needed_mask(idx);
       if (m == 0) {
         if (base && !in_pool) ++gang.tiles_skipped;
-      } else if (in_pool) {
-        cached.push_back(pooled[ci]);
+      } else if (in_pool || in_seg) {
+        cached.push_back(in_pool ? pooled[ci] : resident[ri]);
         cached_masks.push_back(m);
       } else if (base) {
         fetch.push_back(idx);
@@ -408,7 +419,8 @@ struct SharedScheduler::Runner {
   // Per-round scratch, reused so the steady state does not allocate. The
   // *_masks vectors run parallel to the tile lists before them.
   std::vector<CachePool::Entry> pooled;
-  std::vector<CachePool::Entry> cached;
+  std::vector<CachePool::Entry> resident;  // the stream segments' tiles
+  std::vector<CachePool::Entry> cached;    // pool and resident hits
   std::vector<Mask> cached_masks;
   std::vector<std::uint64_t> fetch;
   std::vector<Mask> fetch_masks;

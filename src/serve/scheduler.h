@@ -4,9 +4,12 @@
 // runs the same pass for a *gang* of up to 64 jobs co-scheduled over one
 // StoreSnapshot. Per round (one iteration of every active job):
 //
-//   REWIND — every tile in the shared cache pool is dispatched to each
-//            active job whose selective-fetch oracle wants it, before any
-//            I/O is issued.
+//   REWIND — every tile in the shared cache pool, and every tile the
+//            stream's two segments still hold from the previous round, is
+//            dispatched to each active job whose selective-fetch oracle
+//            wants it, before any I/O is issued (and so before the round's
+//            first fill can overwrite a segment). The pool wins for a tile
+//            in both; with SchedulerConfig::rewind off neither is used.
 //   SLIDE  — the fetch list is the UNION of the active jobs' needed tiles;
 //            each tile's bytes are read once through the same TileStream
 //            ScrEngine uses (store/tile_stream.h: double-buffered,
@@ -62,7 +65,7 @@ struct GangStats {
   std::uint32_t rounds = 0;
   std::uint64_t bytes_read = 0;
   std::uint64_t tiles_fetched = 0;     // unique tile payload fetches
-  std::uint64_t tiles_from_cache = 0;  // rewind dispatches served from pool
+  std::uint64_t tiles_from_cache = 0;  // rewind dispatches (pool or segment)
   std::uint64_t tiles_skipped = 0;
   std::uint64_t tile_dispatches = 0;   // job×tile kernel deliveries
   std::uint64_t io_batches = 0;

@@ -103,35 +103,47 @@ struct ScrEngine::Runner {
     if (pool.budget() != 0) policy->admit(pool, seg, grid, algo);
   }
 
-  // Snapshots the pool (layout order) at the start of an iteration or
-  // round. The base policy (rewind off) keeps nothing across them.
-  void snapshot_pool() {
+  // Snapshots, in layout order, what REWIND can serve without I/O at the
+  // start of an iteration or round: the pool and the tiles the stream's two
+  // segments still hold. The base policy (rewind off) keeps nothing across
+  // them.
+  void snapshot_rewind() {
     pooled.clear();
+    resident.clear();
     if (!config.rewind) {
       pool.clear();
       return;
     }
     pool.for_each_entry([&](const CachePool::Entry& e) { pooled.push_back(e); });
+    stream.for_each_resident([&](const Segment& seg, const TileSlot& slot) {
+      resident.push_back({slot.layout_idx, seg.slot_data(slot), slot.bytes});
+    });
   }
 
   // ---- the shared slide–cache–rewind pass --------------------------------
 
   // Processes `selected` (ascending layout indices of tiles with data that
-  // this iteration or round must visit). REWIND: tiles already in the pool
-  // are processed first, with no I/O (paper §VI-D). SLIDE: the base tiles
-  // stream through the TileStream at `priority`, each segment cached as it
-  // is processed. Overlay tiles with no base bytes are never fetched nor
-  // cached, so they get a no-I/O pass last. The policy's boundary analysis
-  // closes the pass.
+  // this iteration or round must visit). REWIND: tiles already in the pool,
+  // then tiles still resident in the stream's two segments, are processed
+  // first, with no I/O (paper §VI-D); a tile in both is served by the pool.
+  // This runs before the slide's first fill, which may overwrite a resident
+  // segment. SLIDE: the remaining base tiles stream through the TileStream
+  // at `priority`, each segment cached as it is processed. Overlay tiles
+  // with no base bytes are never fetched nor cached, so they get a no-I/O
+  // pass last. The policy's boundary analysis closes the pass.
   void run_pass(std::uint32_t priority) {
     cached.clear();
     fetch.clear();
     delta_only.clear();
     std::size_t ci = 0;
+    std::size_t ri = 0;
     for (const std::uint64_t idx : selected) {
       while (ci < pooled.size() && pooled[ci].layout_idx < idx) ++ci;
+      while (ri < resident.size() && resident[ri].layout_idx < idx) ++ri;
       if (ci < pooled.size() && pooled[ci].layout_idx == idx)
         cached.push_back(pooled[ci]);
+      else if (ri < resident.size() && resident[ri].layout_idx == idx)
+        cached.push_back(resident[ri]);
       else if (store.tile_bytes(idx) != 0)
         fetch.push_back(idx);
       else
@@ -139,7 +151,7 @@ struct ScrEngine::Runner {
     }
 
     process_tiles(cached);
-    for (const auto& e : cached) pool.touch(e.layout_idx);
+    for (const auto& e : cached) pool.touch(e.layout_idx);  // no-op if resident
     stats.tiles_from_cache += cached.size();
 
     stream.slide(fetch, priority, [&](const Segment& seg, std::size_t) {
@@ -204,7 +216,7 @@ struct ScrEngine::Runner {
     const Timer timer;
     const IterationStats before = totals();
     algo.begin_iteration(iter);
-    snapshot_pool();
+    snapshot_rewind();
     select_grid();
     run_pass(/*priority=*/0);
     const bool more = algo.end_iteration(iter);
@@ -277,7 +289,7 @@ struct ScrEngine::Runner {
     GSTORE_DCHECK(bucket != TileWorklist::kIdle);
     algo.begin_round(round, bucket);
     stats.max_bucket = std::max(stats.max_bucket, bucket);
-    snapshot_pool();
+    snapshot_rewind();
     run_pass(bucket);
     const bool more = algo.end_round(round, bucket);
     record(before, bucket, timer.seconds());
@@ -356,7 +368,8 @@ struct ScrEngine::Runner {
   // Per-pass scratch, reused so the steady state does not allocate.
   std::vector<std::uint64_t> selected;  // this iteration's/round's tiles
   std::vector<CachePool::Entry> pooled;
-  std::vector<CachePool::Entry> cached;
+  std::vector<CachePool::Entry> resident;  // the segments' tiles
+  std::vector<CachePool::Entry> cached;    // pool and resident hits
   std::vector<std::uint64_t> fetch;
   std::vector<CachePool::Entry> delta_only;
   std::vector<CachePool::Entry> seg_tiles;

@@ -2,8 +2,13 @@
 //
 // Each iteration (grid mode) or worklist round (priority mode) first
 // selects the tiles it must process, then runs one shared pass over them:
-//   REWIND — process the selected tiles already sitting in the cache pool
-//            before any I/O is issued (saved by an earlier pass).
+//   REWIND — process the selected tiles already in memory before any I/O
+//            is issued: those in the cache pool (saved by an earlier
+//            pass), then those the stream's two segments still hold from
+//            the previous pass (the pool wins for a tile in both). This
+//            runs before the slide's first fill, which may overwrite a
+//            segment. Both count as tiles_from_cache; with rewind off
+//            neither is used.
 //   SLIDE  — stream the remaining selected tiles from disk in layout order
 //            through the double-buffered TileStream (store/tile_stream.h,
 //            which owns the segments, batched reads, retries and the

@@ -46,7 +46,7 @@ class Segment {
     return true;
   }
 
-  void clear() {
+  void clear() noexcept {
     slots_.clear();
     used_ = 0;
   }

@@ -35,14 +35,14 @@ TileStream::TileStream(tile::TileStore& store, std::uint64_t segment_bytes,
 // Greedily packs tiles from fetch[pos..] into segment s and submits their
 // reads as one batched call, coalescing layout-consecutive tiles into
 // single requests. Leaves pending_[s] at the number of requests in flight.
+// With the fetch list exhausted the segment is not reloaded and keeps its
+// slot table: those tiles stay resident for the next REWIND.
 void TileStream::fill_and_submit(int s, const std::vector<std::uint64_t>& fetch,
                                  std::size_t& pos, std::uint32_t priority) {
   Segment& seg = segments_[s];
   pending_[s] = 0;
-  if (pos >= fetch.size()) {
-    seg.clear();  // nothing will be written — pinned bytes stay untouched
-    return;
-  }
+  loaded_[s] = pos < fetch.size();
+  if (!loaded_[s]) return;
   // begin_fill, not clear: if the pool still pins slices of this buffer a
   // fresh one is allocated, so the cached bytes stay immutable (zero-copy
   // contract; the old buffer is freed when its last pin drops).
@@ -159,10 +159,15 @@ void TileStream::fail() {
 }
 
 // Unwind-path barrier: waits out every in-flight read for both segments
-// without throwing, then resets the double-buffer bookkeeping.
+// without throwing, then resets the double-buffer bookkeeping. Both slot
+// tables go too: a segment mid-fill holds partial bytes, and nothing that
+// was loaded by a failed slide may be rewound.
 void TileStream::quiesce_all() noexcept {
   store_.device().quiesce();
   pending_[0] = pending_[1] = 0;
+  loaded_[0] = loaded_[1] = false;
+  segments_[0].clear();
+  segments_[1].clear();
   inflight_.clear();
 }
 

@@ -637,3 +637,129 @@ TEST(ScrEngine, PriorityModeCachesAcrossRounds) {
 
 }  // namespace
 }  // namespace gstore::store
+// Appended: REWIND of the tiles the stream's two segments still hold.
+#include "algo/bfs.h"
+#include "algo/reference.h"
+
+namespace gstore::store {
+namespace {
+
+// Model of TileStream residency for passes that need `needed` (ascending
+// layout indices): tiles the two segments hold are rewound, the rest are
+// packed greedily into segments of `cap` bytes alternating from segment 0,
+// and a segment that finds the fetch list exhausted keeps its tiles.
+class ResidencyModel {
+ public:
+  ResidencyModel(const tile::TileStore& store, std::uint64_t cap)
+      : store_(store), cap_(cap) {}
+
+  // Bytes of the tiles both segments hold before the next pass.
+  std::uint64_t resident_bytes() const {
+    std::uint64_t bytes = 0;
+    for (const auto& seg : seg_)
+      for (const std::uint64_t idx : seg) bytes += store_.tile_bytes(idx);
+    return bytes;
+  }
+
+  void pass(const std::vector<std::uint64_t>& needed) {
+    std::set<std::uint64_t> resident(seg_[0].begin(), seg_[0].end());
+    resident.insert(seg_[1].begin(), seg_[1].end());
+    std::vector<std::uint64_t> fetch;
+    for (const std::uint64_t idx : needed)
+      if (!resident.count(idx)) fetch.push_back(idx);
+    std::size_t pos = 0;
+    const auto fill = [&](int s) {
+      if (pos >= fetch.size()) return false;
+      seg_[s].clear();
+      std::uint64_t used = 0;
+      while (pos < fetch.size() &&
+             used + store_.tile_bytes(fetch[pos]) <= cap_) {
+        used += store_.tile_bytes(fetch[pos]);
+        seg_[s].push_back(fetch[pos++]);
+      }
+      return true;
+    };
+    int cur = 0;
+    bool loaded = fill(cur);
+    while (loaded) {
+      cur ^= 1;
+      loaded = fill(cur);
+    }
+  }
+
+ private:
+  const tile::TileStore& store_;
+  std::uint64_t cap_;
+  std::vector<std::uint64_t> seg_[2];
+};
+
+// With no pool (stream memory = two segments), the only tiles a pass can
+// serve without I/O are the ones the two segments still hold from the last
+// pass. Every PageRank iteration needs every tile, so iteration k reads the
+// whole store minus exactly those bytes; with rewind off it rereads it all.
+TEST(ScrEngine, RewindsLastTwoSegments) {
+  io::TempDir dir;
+  const auto el = graph::kronecker(9, 6, GraphKind::kUndirected, 17);
+  tile::ConvertOptions o;
+  o.tile_bits = 5;
+  o.group_side = 3;
+  auto store = gstore::testing::make_store(dir, el, o);
+  const std::uint64_t tiles = store.grid().tile_count();
+  const std::uint64_t payload = store.bytes_of_range(0, tiles);
+  std::vector<std::uint64_t> nonempty;
+  for (std::uint64_t k = 0; k < tiles; ++k)
+    if (store.tile_bytes(k) != 0) nonempty.push_back(k);
+
+  EngineConfig cfg;
+  cfg.segment_bytes = std::max<std::uint64_t>(payload / 6,
+                                              store.max_tile_bytes());
+  cfg.stream_memory_bytes = 2 * cfg.segment_bytes;
+  const std::uint64_t cap = cfg.segment_bytes;
+  ASSERT_EQ(ScrEngine(store, cfg).budget().pool_bytes, 0u);
+  ASSERT_GT(payload, 3 * cap) << "store must span at least 4 segments";
+
+  constexpr std::uint32_t kIters = 3;
+  algo::PageRankOptions popt;
+  popt.max_iterations = kIters;
+  algo::TilePageRank pr(popt);
+  const EngineStats s = ScrEngine(store, cfg).run(pr);
+  ASSERT_EQ(s.per_iteration.size(), kIters);
+  ResidencyModel model(store, cap);
+  for (std::uint32_t k = 0; k < kIters; ++k) {
+    SCOPED_TRACE(::testing::Message() << "iteration " << k);
+    const std::uint64_t kept = model.resident_bytes();
+    if (k > 0) {
+      EXPECT_GT(kept, 0u);
+    }
+    EXPECT_EQ(s.per_iteration[k].bytes_fetched, payload - kept);
+    model.pass(nonempty);
+  }
+  EXPECT_GT(s.tiles_from_cache, 0u);
+  EXPECT_EQ(s.tiles_from_disk + s.tiles_from_cache,
+            kIters * nonempty.size());
+  EXPECT_EQ(s.bytes_copied_to_pool, 0u);
+  const auto want = algo::ref_pagerank(el, kIters);
+  ASSERT_EQ(pr.ranks().size(), want.size());
+  for (std::size_t v = 0; v < want.size(); ++v)
+    ASSERT_NEAR(pr.ranks()[v], want[v], 1e-4) << "vertex " << v;
+
+  // Selective fetch: BFS rewinds whichever resident tiles its frontier
+  // needs, and its depths stay exact.
+  algo::TileBfs bfs(0);
+  const EngineStats b = ScrEngine(store, cfg).run(bfs);
+  EXPECT_GT(b.tiles_from_cache, 0u);
+  EXPECT_EQ(bfs.depth(), algo::ref_bfs(el, 0));
+
+  // The base policy keeps nothing across iterations.
+  EngineConfig base = cfg;
+  base.rewind = false;
+  algo::TilePageRank pr_base(popt);
+  const EngineStats r = ScrEngine(store, base).run(pr_base);
+  EXPECT_EQ(r.tiles_from_cache, 0u);
+  for (const IterationStats& it : r.per_iteration)
+    EXPECT_EQ(it.bytes_fetched, payload);
+  EXPECT_EQ(r.bytes_read, kIters * payload);
+}
+
+}  // namespace
+}  // namespace gstore::store

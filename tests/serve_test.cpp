@@ -984,5 +984,114 @@ TEST(SharedScheduler, MultiTileGangBitIdenticalToSerial) {
   }
 }
 
+// REWIND of the stream's last two segments in the gang. Stream memory is
+// exactly two segments, so the shared pool is empty and every rewind
+// dispatch is a tile still resident in a segment from the previous round.
+// A lone PageRank job needs every tile every round, so each round after the
+// first fetches fewer tiles than it dispatches by the resident count, the
+// same count a solo ScrEngine over the same stream rewinds. A mixed gang
+// over that stream still matches the solo engine.
+TEST(SharedScheduler, RewindsLastTwoSegmentsAcrossRounds) {
+  io::TempDir dir;
+  ingest::EdgeIngestor ingestor(multi_codec_store(dir));
+  ingest_live_edges(ingestor);
+  SnapshotManager snaps(ingestor);
+  serve::SnapshotRef pinned = snaps.acquire();
+  tile::TileStore& store = pinned->store();
+  const std::uint64_t tiles = store.grid().tile_count();
+  std::uint64_t base_tiles = 0;
+  std::uint64_t overlay_only = 0;
+  for (std::uint64_t idx = 0; idx < tiles; ++idx) {
+    if (store.tile_bytes(idx) != 0)
+      ++base_tiles;
+    else if (!store.overlay()->tile_edges(idx).empty())
+      ++overlay_only;
+  }
+
+  serve::SchedulerConfig cfg;
+  cfg.segment_bytes = 2 << 10;
+  cfg.stream_memory_bytes = 2 * cfg.segment_bytes;  // no pool
+  ASSERT_GT(store.bytes_of_range(0, tiles), cfg.stream_memory_bytes);
+
+  const auto run_gang = [&](const std::vector<JobSpec>& specs,
+                            const serve::SchedulerConfig& c,
+                            std::vector<std::unique_ptr<store::TileAlgorithm>>&
+                                algos) {
+    std::vector<serve::GangJob> jobs;
+    for (std::size_t k = 0; k < specs.size(); ++k) {
+      algos.push_back(serve::make_algorithm(specs[k]));
+      jobs.push_back(serve::GangJob{k, algos.back().get(), {}});
+    }
+    serve::SharedScheduler sched(*pinned, c);
+    return sched.run(std::move(jobs), nullptr,
+                     [&](const serve::GangJob& job, JobState st,
+                         const serve::JobStats&, const std::string& error) {
+                       EXPECT_EQ(st, JobState::kDone)
+                           << "job " << job.id << ": " << error;
+                     });
+  };
+
+  JobSpec pr;
+  pr.kind = JobKind::kPageRank;
+  pr.max_iterations = 4;
+  std::vector<std::unique_ptr<store::TileAlgorithm>> lone;
+  const serve::GangStats g = run_gang({pr}, cfg, lone);
+  ASSERT_EQ(g.rounds, pr.max_iterations);
+  EXPECT_GT(g.tiles_from_cache, 0u);
+  EXPECT_EQ(g.tile_dispatches, g.rounds * (base_tiles + overlay_only));
+  EXPECT_EQ(g.tiles_fetched + g.tiles_from_cache, g.rounds * base_tiles);
+  EXPECT_EQ(g.bytes_copied_to_pool, 0u);
+
+  auto solo = serve::make_algorithm(pr);
+  store::EngineConfig ecfg;
+  ecfg.segment_bytes = cfg.segment_bytes;
+  ecfg.stream_memory_bytes = cfg.stream_memory_bytes;
+  const store::EngineStats e = store::ScrEngine(store, ecfg).run(*solo);
+  EXPECT_EQ(g.tiles_from_cache, e.tiles_from_cache);
+  EXPECT_EQ(g.tiles_fetched, e.tiles_from_disk);
+  EXPECT_EQ(g.bytes_read, e.bytes_read);
+
+  // The base policy rereads every tile every round.
+  serve::SchedulerConfig base = cfg;
+  base.rewind = false;
+  std::vector<std::unique_ptr<store::TileAlgorithm>> lone_base;
+  const serve::GangStats r = run_gang({pr}, base, lone_base);
+  EXPECT_EQ(r.tiles_from_cache, 0u);
+  EXPECT_EQ(r.tiles_fetched, r.rounds * base_tiles);
+
+  // A mixed gang rewinding resident tiles matches the solo engine.
+  std::vector<JobSpec> specs;
+  for (graph::vid_t root : {0u, 300u}) specs.push_back(bfs_spec(root));
+  for (JobKind kind : {JobKind::kSssp, JobKind::kWcc, JobKind::kPageRank,
+                       JobKind::kNeighbors}) {
+    JobSpec s;
+    s.kind = kind;
+    specs.push_back(s);
+  }
+  specs[2].vertex = 7;
+  specs[4].max_iterations = 10;
+  specs[5].vertex = 500;
+  std::vector<std::unique_ptr<store::TileAlgorithm>> ganged;
+  const serve::GangStats mixed = run_gang(specs, cfg, ganged);
+  ASSERT_EQ(ganged.size(), specs.size());
+  EXPECT_GT(mixed.tiles_from_cache, 0u);
+  for (std::size_t k = 0; k < specs.size(); ++k) {
+    auto serial = serve::make_algorithm(specs[k]);
+    store::ScrEngine(store, store::EngineConfig{}).run(*serial);
+    if (specs[k].kind != JobKind::kPageRank) {
+      EXPECT_EQ(digest_of(serve::make_result(specs[k], *ganged[k])),
+                digest_of(serve::make_result(specs[k], *serial)))
+          << to_string(specs[k].kind) << " job " << k
+          << " diverged from the serial engine";
+      continue;
+    }
+    const auto& a = dynamic_cast<const algo::TilePageRank&>(*serial);
+    const auto& b = dynamic_cast<const algo::TilePageRank&>(*ganged[k]);
+    ASSERT_EQ(b.ranks().size(), a.ranks().size());
+    for (std::size_t v = 0; v < a.ranks().size(); ++v)
+      ASSERT_NEAR(b.ranks()[v], a.ranks()[v], 1e-4) << "vertex " << v;
+  }
+}
+
 }  // namespace
 }  // namespace gstore

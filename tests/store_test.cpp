@@ -6,10 +6,14 @@
 #include <set>
 #include <vector>
 
+#include "graph/generator.h"
+#include "io/file.h"
 #include "store/cache_pool.h"
 #include "store/caching_policy.h"
 #include "store/memory_budget.h"
 #include "store/segment.h"
+#include "store/tile_stream.h"
+#include "tile/convert.h"
 #include "util/status.h"
 
 namespace gstore::store {
@@ -412,6 +416,80 @@ TEST(CachingPolicy, ProactiveAdmitSweepsOncePerSegment) {
     EXPECT_TRUE(pool.contains(grid.layout_index(2, 1)));
     EXPECT_FALSE(pool.contains(grid.layout_index(3, 1)));
   }
+}
+
+// ---- TileStream residency ------------------------------------------------
+
+std::vector<std::uint64_t> resident_tiles(const TileStream& stream) {
+  std::vector<std::uint64_t> out;
+  stream.for_each_resident([&](const Segment&, const TileSlot& slot) {
+    out.push_back(slot.layout_idx);
+  });
+  return out;
+}
+
+// After a clean slide the two segments keep the last tiles they loaded (the
+// tail of the fetch list). A slide that fails past the retry budget, or
+// whose callback throws, must leave nothing resident: a half-filled segment
+// holds partial bytes, and REWIND must never process those.
+TEST(TileStream, FailedSlideLeavesNoResidentTiles) {
+  io::TempDir dir;
+  tile::ConvertOptions o;
+  o.tile_bits = 5;
+  const std::string base = dir.file("g");
+  tile::convert_to_tiles(
+      graph::kronecker(9, 6, graph::GraphKind::kUndirected, 5), base, o);
+  constexpr std::uint64_t kSegment = 512;
+  const auto ignore = [](const Segment&, std::size_t) {};
+
+  // The reads of one clean slide, so the fault can be aimed past them.
+  std::vector<std::uint64_t> fetch;
+  std::uint64_t reads = 0;
+  {
+    auto clean = tile::TileStore::open(base);
+    for (std::uint64_t k = 0; k < clean.grid().tile_count(); ++k)
+      if (clean.tile_bytes(k) != 0) fetch.push_back(k);
+    ASSERT_GT(clean.bytes_of_range(0, clean.grid().tile_count()),
+              4 * std::max<std::uint64_t>(kSegment, clean.max_tile_bytes()));
+    TileStream stream(clean, kSegment);
+    clean.device().reset_stats();
+    stream.slide(fetch, 0, ignore);
+    reads = clean.device().stats().read_ops;
+  }
+
+  // Read 1 is the store header; the first read of the second slide fails,
+  // with no retry budget in the async workers or in the stream.
+  io::DeviceConfig dev;
+  dev.fault_spec = "eio-nth=" + std::to_string(reads + 2);
+  dev.retry.max_retries = 0;
+  auto store = tile::TileStore::open(base, dev);
+  TileStream stream(store, kSegment, /*overlap_io=*/true,
+                    /*read_retry_budget=*/0);
+  stream.slide(fetch, 0, ignore);
+  const std::vector<std::uint64_t> kept = resident_tiles(stream);
+  ASSERT_FALSE(kept.empty());
+  ASSERT_LT(kept.size(), fetch.size());
+  EXPECT_TRUE(std::equal(kept.begin(), kept.end(),
+                         fetch.end() - static_cast<std::ptrdiff_t>(kept.size())));
+  // An empty fetch list loads nothing and keeps the residents.
+  stream.slide({}, 0, ignore);
+  EXPECT_EQ(resident_tiles(stream), kept);
+
+  EXPECT_THROW(stream.slide(fetch, 0, ignore), IoError);
+  EXPECT_TRUE(resident_tiles(stream).empty());
+  std::vector<io::Completion> none;
+  EXPECT_EQ(store.device().poll(0, 64, none), 0u);
+
+  // The fault is spent: the stream recovers, and a throwing callback drops
+  // the residents the same way.
+  stream.slide(fetch, 0, ignore);
+  EXPECT_EQ(resident_tiles(stream), kept);
+  EXPECT_THROW(stream.slide(fetch, 0,
+                            [](const Segment&, std::size_t) {
+                              throw FormatError("bad tile");
+                            }),
+               FormatError);
+  EXPECT_TRUE(resident_tiles(stream).empty());
 }
 
 }  // namespace
