@@ -1,26 +1,29 @@
-// Lock-free update helpers for algorithm metadata. process_tile() runs
-// concurrently across tiles (OpenMP), so metadata writes go through these.
-// When the process runs single-threaded (this is detected once at startup),
-// the helpers take plain non-atomic paths — a CAS loop per edge would
-// otherwise dominate single-core runs and distort engine comparisons.
+// Update helpers for algorithm metadata. process_tile() / process_block()
+// run concurrently across tiles inside the one tile executor
+// (store/chunking.h, parallel_for_costs), so metadata writes go through
+// these. Each helper asks the executor whether this thread's writes are
+// exclusive right now, and then takes a plain, non-atomic path:
+//   * outside the executor's regions and in a one-thread team — a CAS loop
+//     per edge would otherwise dominate single-core runs;
+//   * inside a range-exclusive wave, for algorithms that declare
+//     TileAlgorithm::touches_only_tile_ranges(). The wave gives each vertex
+//     range one writer, so the helpers may only touch metadata indexed by
+//     the tile's endpoints or by their tile rows (v >> tile_bits); anything
+//     shared across ranges (global counters) must stay a real atomic.
+// Otherwise they use relaxed atomics. The answer is per thread and per
+// region: it follows the team the thread runs in now, not the thread count
+// the process started with.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
+#include "store/chunking.h"
 
 namespace gstore::algo {
 
 inline bool concurrent_execution() noexcept {
-#ifdef _OPENMP
-  static const bool multi = omp_get_max_threads() > 1;
-  return multi;
-#else
-  return false;  // engine parallelism comes from OpenMP only
-#endif
+  return !store::writes_exclusive();
 }
 
 // Relaxed read of a location that concurrent workers may be writing through

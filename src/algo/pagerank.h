@@ -35,6 +35,9 @@ class TilePageRank final : public store::TileAlgorithm {
   void process_tile(const tile::TileView& view) override;
   void process_block(const tile::EdgeBlock& block) override;
   bool end_iteration(std::uint32_t iter) override;
+  // Reads contrib_ (fixed during a pass), adds into incoming_ of the
+  // endpoints.
+  bool touches_only_tile_ranges() const override { return true; }
 
   const std::vector<float>& ranks() const noexcept { return rank_; }
   std::uint32_t iterations_run() const noexcept { return iterations_; }

@@ -37,7 +37,8 @@
 //
 // Threading: run() is called from ONE control thread (the JobManager's
 // scheduler thread); kernels fan out over OpenMP inside a round through
-// store::parallel_for_costs, exactly like ScrEngine. The snapshot (store +
+// store::parallel_for_costs, exactly like ScrEngine — in range-exclusive
+// waves when every subscriber opts in. The snapshot (store +
 // frozen overlay) is immutable for the gang's lifetime.
 #pragma once
 
@@ -65,7 +66,7 @@ struct GangStats {
   std::uint32_t rounds = 0;
   std::uint64_t bytes_read = 0;
   std::uint64_t tiles_fetched = 0;     // unique tile payload fetches
-  std::uint64_t tiles_from_cache = 0;  // rewind dispatches (pool or segment)
+  std::uint64_t tiles_from_cache = 0;  // unique tiles rewound (pool or segment)
   std::uint64_t tiles_skipped = 0;
   std::uint64_t tile_dispatches = 0;   // job×tile kernel deliveries
   std::uint64_t io_batches = 0;

@@ -12,7 +12,13 @@
 //                             priority mode drains the minimum bucket per
 //                             round instead of sliding the grid in row order.
 // process_tile() and process_block() may be called concurrently for
-// different tiles; metadata updates must be thread-safe.
+// different tiles; metadata updates must be thread-safe. They go through
+// the algo/atomics.h helpers, which take their plain path whenever the tile
+// executor (store/chunking.h) says this thread's writes are exclusive. An
+// algorithm whose kernel touches only metadata indexed by the tile's
+// endpoints or by their tile rows declares touches_only_tile_ranges(); the
+// executor then runs its tiles in range-exclusive waves — plain stores,
+// and the same per-range order at any thread count.
 //
 // Two compute paths exist (docs/HOTPATH.md):
 //   * per-edge   — process_tile() iterates with tile::visit_edges. Simple,
@@ -87,6 +93,16 @@ class TileAlgorithm {
 
   // Returns true if another iteration is required.
   virtual bool end_iteration(std::uint32_t iter) = 0;
+
+  // Wave trait: true when process_tile()/process_block() read or write only
+  // (a) metadata indexed by an endpoint of the tile's edges or by its tile
+  // row, (b) data no kernel writes during the pass, and (c) real atomics
+  // (e.g. a global update counter). Tile (i, j) then touches only vertex
+  // ranges i and j, and the executor may run it beside any tile on other
+  // ranges with plain stores. The decision to drop atomics is the
+  // executor's: a kernel never skips them on its own. Default: false
+  // (cost-chunked dispatch, atomic helpers).
+  virtual bool touches_only_tile_ranges() const { return false; }
 
   // Selective-fetch oracle. Default: every tile, every iteration.
   virtual bool tile_needed(std::uint32_t /*i*/, std::uint32_t /*j*/) const {

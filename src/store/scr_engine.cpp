@@ -70,10 +70,13 @@ struct ScrEngine::Runner {
 
   // Runs the kernel over `tiles` in parallel (cached entries, a segment's
   // slots, or overlay-only tiles with null data) and counts their edges.
+  // An algorithm confined to its tiles' ranges runs in waves, which process
+  // each range's tiles in the order given here.
   void process_tiles(const std::vector<CachePool::Entry>& tiles) {
     if (tiles.empty()) return;
     Timer t;
     costs.clear();
+    waves.tiles.clear();
     std::uint64_t edges = 0;
     std::uint64_t oedges = 0;
     for (const auto& e : tiles) {
@@ -81,10 +84,12 @@ struct ScrEngine::Runner {
       costs.push_back(store.tile_edge_count(e.layout_idx) + extra);
       edges += costs.back();
       oedges += extra;
+      if (waved) waves.tiles.push_back(grid.coord_at(e.layout_idx));
     }
-    parallel_for_costs(costs, chunks, [&](std::size_t k) {
-      process_one(tiles[k].layout_idx, tiles[k].data);
-    });
+    parallel_for_costs(
+        costs, chunks,
+        [&](std::size_t k) { process_one(tiles[k].layout_idx, tiles[k].data); },
+        waved ? &waves : nullptr);
     stats.edges_processed += edges;
     stats.overlay_edges += oedges;
     stats.compute_seconds += t.seconds();
@@ -375,6 +380,8 @@ struct ScrEngine::Runner {
   std::vector<CachePool::Entry> seg_tiles;
   std::vector<std::uint64_t> costs;
   std::vector<Chunk> chunks;
+  const bool waved = algo.touches_only_tile_ranges();
+  WavePlan waves;
   // Priority-mode state: the bucketed worklist and the row→tiles adjacency
   // it is refreshed through.
   TileWorklist worklist;

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -16,6 +17,10 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "algo/pagerank.h"
 #include "graph/generator.h"
@@ -1091,6 +1096,105 @@ TEST(SharedScheduler, RewindsLastTwoSegmentsAcrossRounds) {
     for (std::size_t v = 0; v < a.ranks().size(); ++v)
       ASSERT_NEAR(b.ranks()[v], a.ranks()[v], 1e-4) << "vertex " << v;
   }
+}
+
+// Waves make a lone PageRank gang a re-run of the solo engine: the same
+// dispatch order per vertex range, so bit-identical ranks, at 1, 2 and 4
+// threads, with the stream rewinding only its segments and with a pool.
+// The store is large enough for a dispatch to span many cost chunks, and
+// live WAL edges put the overlay splice in the comparison.
+TEST(SharedScheduler, LonePageRankGangBitIdenticalToSolo) {
+#ifdef _OPENMP
+  const int threads = omp_get_max_threads();
+#endif
+  io::TempDir dir;
+  tile::ConvertOptions opts;
+  opts.tile_bits = 6;
+  ingest::EdgeIngestor ingestor(convert(
+      dir, graph::kronecker(12, 16, graph::GraphKind::kUndirected, 5), opts));
+  const graph::Edge extra[] = {{10, 4000}, {7, 42}, {3000, 3001}, {0, 64}};
+  ingestor.ingest(extra);
+  SnapshotManager snaps(ingestor);
+  serve::SnapshotRef pinned = snaps.acquire();
+  tile::TileStore& store = pinned->store();
+
+  JobSpec pr;
+  pr.kind = JobKind::kPageRank;
+  pr.max_iterations = 6;
+  for (const std::uint64_t memory : {std::uint64_t{128} << 10,
+                                     std::uint64_t{64} << 20}) {
+    serve::SchedulerConfig cfg;
+    cfg.segment_bytes = 64 << 10;
+    cfg.stream_memory_bytes = memory;
+    store::EngineConfig ecfg;
+    ecfg.segment_bytes = cfg.segment_bytes;
+    ecfg.stream_memory_bytes = cfg.stream_memory_bytes;
+    for (const int t : {1, 2, 4}) {
+      SCOPED_TRACE(::testing::Message() << "memory=" << memory
+                                        << " threads=" << t);
+#ifdef _OPENMP
+      omp_set_num_threads(t);
+#endif
+      auto solo = serve::make_algorithm(pr);
+      store::ScrEngine(store, ecfg).run(*solo);
+      auto ganged = serve::make_algorithm(pr);
+      serve::SharedScheduler sched(*pinned, cfg);
+      const serve::GangStats g = sched.run(
+          {serve::GangJob{1, ganged.get(), {}}}, nullptr,
+          [](const serve::GangJob&, JobState st, const serve::JobStats&,
+             const std::string& error) {
+            EXPECT_EQ(st, JobState::kDone) << error;
+          });
+      EXPECT_EQ(g.rounds, pr.max_iterations);
+      const auto& a = dynamic_cast<const algo::TilePageRank&>(*solo);
+      const auto& b = dynamic_cast<const algo::TilePageRank&>(*ganged);
+      ASSERT_EQ(b.ranks().size(), a.ranks().size());
+      EXPECT_EQ(std::memcmp(b.ranks().data(), a.ranks().data(),
+                            a.ranks().size() * sizeof(float)),
+                0);
+    }
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(threads);
+#endif
+}
+
+// dedup_ratio is deliveries per unique payload: k identical jobs over a
+// store the shared pool holds fetch each tile once, rewind it every later
+// round, and deliver it k times per round — a ratio of k. A cached tile
+// counts once however many jobs it is delivered to.
+TEST(JobManager, DedupRatioCountsUniqueCachedTiles) {
+  io::TempDir dir;
+  const std::string base = convert(dir, multi_tile_graph());
+  ingest::EdgeIngestor ingestor(base);
+  constexpr std::size_t kJobs = 4;
+  ManagerOptions mo;
+  mo.scheduler.stream_memory_bytes = 64ull << 20;
+  mo.scheduler.segment_bytes = 1ull << 20;
+  ASSERT_LT(ingestor.store().bytes_of_range(
+                0, ingestor.store().grid().tile_count()),
+            mo.scheduler.stream_memory_bytes / 4);
+  JobManager manager(ingestor, mo);
+  std::vector<std::uint64_t> ids;
+  for (std::size_t k = 0; k < kJobs; ++k) {
+    JobSpec s;
+    s.kind = JobKind::kPageRank;
+    s.max_iterations = 5;
+    Json j = s.to_json();
+    ids.push_back(manager.submit(j));
+  }
+  manager.start();
+  for (const std::uint64_t id : ids)
+    ASSERT_TRUE(manager.wait(id, std::chrono::milliseconds(60000)));
+  manager.stop(/*drain=*/true);
+  const Json s = manager.stats();
+  ASSERT_EQ(s.at("gangs").as_uint(), 1u);
+  EXPECT_GT(s.at("tiles_from_cache").as_uint(), 0u);
+  EXPECT_EQ(s.at("tile_dispatches").as_uint(),
+            kJobs * (s.at("tiles_fetched").as_uint() +
+                     s.at("tiles_from_cache").as_uint()));
+  EXPECT_NEAR(s.at("dedup_ratio").as_number(), static_cast<double>(kJobs),
+              1e-9);
 }
 
 }  // namespace

@@ -1,15 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <set>
 #include <vector>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
+#include "algo/atomics.h"
 #include "graph/generator.h"
 #include "io/file.h"
 #include "store/cache_pool.h"
 #include "store/caching_policy.h"
+#include "store/chunking.h"
 #include "store/memory_budget.h"
 #include "store/segment.h"
 #include "store/tile_stream.h"
@@ -490,6 +498,195 @@ TEST(TileStream, FailedSlideLeavesNoResidentTiles) {
                             }),
                FormatError);
   EXPECT_TRUE(resident_tiles(stream).empty());
+}
+
+// ---- tile executor: range-exclusive waves ----------------------------------
+
+// Checks the plan of `tiles` against its definition, independently of
+// waves_disjoint(): every task lands in exactly one wave, no two tiles of a
+// wave share a vertex range (a diagonal tile holds its one range once), and
+// each range meets its tiles in input order, one wave after another.
+void expect_valid_waves(const std::vector<tile::TileCoord>& tiles,
+                        const std::vector<std::uint64_t>& costs) {
+  WavePlan plan;
+  std::vector<Chunk> chunks;
+  plan.tiles = tiles;
+  plan_waves(costs, plan, chunks);
+  const std::size_t n = tiles.size();
+
+  std::vector<std::size_t> wave_of(n, ~std::size_t{0});
+  std::vector<int> seen(n, 0);
+  std::size_t covered = 0;
+  for (std::size_t w = 0; w < plan.wave_count(); ++w) {
+    ASSERT_LT(plan.wave_chunks[w], plan.wave_chunks[w + 1]) << "empty wave";
+    std::set<std::uint32_t> ranges;
+    for (std::size_t c = plan.wave_chunks[w]; c < plan.wave_chunks[w + 1];
+         ++c) {
+      // Chunks tile `order` contiguously.
+      ASSERT_EQ(chunks[c].begin, covered);
+      ASSERT_LT(chunks[c].begin, chunks[c].end);
+      covered = chunks[c].end;
+      for (std::size_t t = chunks[c].begin; t < chunks[c].end; ++t) {
+        const std::size_t k = plan.order[t];
+        ASSERT_LT(k, n);
+        ++seen[k];
+        wave_of[k] = w;
+        const tile::TileCoord c2 = tiles[k];
+        EXPECT_TRUE(ranges.insert(c2.i).second)
+            << "wave " << w << " reuses range " << c2.i;
+        if (c2.j != c2.i) {
+          EXPECT_TRUE(ranges.insert(c2.j).second)
+              << "wave " << w << " reuses range " << c2.j;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(covered, n);
+  for (std::size_t k = 0; k < n; ++k) EXPECT_EQ(seen[k], 1) << "task " << k;
+
+  // Each range meets its tiles in input order, one wave after another.
+  std::map<std::uint32_t, std::size_t> last_wave;
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::set<std::uint32_t> touched{tiles[k].i, tiles[k].j};
+    for (const std::uint32_t r : touched) {
+      const auto it = last_wave.find(r);
+      if (it != last_wave.end()) {
+        EXPECT_GT(wave_of[k], it->second)
+            << "range " << r << " met task " << k << " out of order";
+      }
+      last_wave[r] = wave_of[k];
+    }
+  }
+  EXPECT_TRUE(waves_disjoint(plan, chunks));
+}
+
+TEST(TileExecutor, WavesOfALayoutOrderGridAreRangeExclusive) {
+  for (const bool symmetric : {true, false}) {
+    SCOPED_TRACE(symmetric ? "symmetric" : "directed");
+    const tile::Grid grid(graph::vid_t{1} << 10, symmetric, /*tile_bits=*/6,
+                          /*group_side=*/4);
+    std::vector<tile::TileCoord> tiles;
+    std::vector<std::uint64_t> costs;
+    for (std::uint64_t idx = 0; idx < grid.tile_count(); ++idx) {
+      tiles.push_back(grid.coord_at(idx));
+      costs.push_back(idx % 7 == 0 ? 20000 : 100);  // a few heavy tiles
+    }
+    expect_valid_waves(tiles, costs);
+    // Every range is touched by p tiles, so no plan has fewer waves.
+    WavePlan plan;
+    std::vector<Chunk> chunks;
+    plan.tiles = tiles;
+    plan_waves(costs, plan, chunks);
+    EXPECT_GE(plan.wave_count(), grid.p());
+  }
+}
+
+TEST(TileExecutor, WavesOfArbitraryDispatchesAreRangeExclusive) {
+  // Random subsets in random order, diagonal tiles and repeats included.
+  std::uint64_t x = 0x9e3779b97f4a7c15ull;
+  const auto next = [&x](std::uint32_t bound) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return static_cast<std::uint32_t>(x % bound);
+  };
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::uint32_t ranges = 1 + next(40);
+    const std::size_t n = next(300);
+    std::vector<tile::TileCoord> tiles;
+    std::vector<std::uint64_t> costs;
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::uint32_t i = next(ranges);
+      tiles.push_back({i, next(4) == 0 ? i : next(ranges)});
+      costs.push_back(next(10000));
+    }
+    SCOPED_TRACE(::testing::Message() << "trial " << trial);
+    expect_valid_waves(tiles, costs);
+  }
+  expect_valid_waves({}, {});
+}
+
+TEST(TileExecutor, DisjointnessCheckCatchesASharedRange) {
+  WavePlan plan;
+  std::vector<Chunk> chunks;
+  plan.tiles = {{0, 1}, {2, 3}, {1, 2}};
+  plan_waves({1, 1, 1}, plan, chunks);
+  ASSERT_TRUE(waves_disjoint(plan, chunks));
+  ASSERT_EQ(plan.wave_count(), 2u);
+  // Fold the second wave into the first: (1, 2) then meets (0, 1).
+  plan.wave_chunks = {0, chunks.size()};
+  EXPECT_FALSE(waves_disjoint(plan, chunks));
+  // A diagonal tile shares its range with a neighbour the same way.
+  plan.tiles = {{4, 4}, {4, 5}};
+  plan_waves({1, 1}, plan, chunks);
+  ASSERT_EQ(plan.wave_count(), 2u);
+  plan.wave_chunks = {0, chunks.size()};
+  EXPECT_FALSE(waves_disjoint(plan, chunks));
+}
+
+// Runs the executor over `n` tasks and returns, per task, whether its body
+// saw the atomics helpers' concurrent path.
+std::vector<std::uint8_t> concurrent_per_task(std::size_t n, bool waved) {
+  std::vector<std::uint64_t> costs(n, 5000);  // one chunk per task
+  std::vector<Chunk> chunks;
+  WavePlan plan;
+  for (std::size_t k = 0; k < n; ++k)
+    plan.tiles.push_back({static_cast<std::uint32_t>(2 * k),
+                          static_cast<std::uint32_t>(2 * k + 1)});
+  std::vector<std::uint8_t> concurrent(n, 2);
+  parallel_for_costs(
+      costs, chunks,
+      [&](std::size_t k) {
+        concurrent[k] = algo::concurrent_execution() ? 1 : 0;
+      },
+      waved ? &plan : nullptr);
+  return concurrent;
+}
+
+// The helpers' plain-or-atomic answer follows the team the kernel runs in
+// now. A process that runs one thread first and raises the count later must
+// get the atomic path in its later cost-chunked regions, and waves stay
+// plain at any count.
+TEST(TileExecutor, ExclusiveFlagFollowsTheCurrentTeam) {
+  constexpr std::size_t kTasks = 64;
+  EXPECT_FALSE(algo::concurrent_execution());  // outside any region
+#ifdef _OPENMP
+  const int threads = omp_get_max_threads();
+  omp_set_num_threads(1);
+  for (const std::uint8_t c : concurrent_per_task(kTasks, false))
+    EXPECT_EQ(c, 0);
+  omp_set_num_threads(4);
+  const std::vector<std::uint8_t> multi = concurrent_per_task(kTasks, false);
+  for (const std::uint8_t c : multi) EXPECT_EQ(c, 1);
+  for (const std::uint8_t c : concurrent_per_task(kTasks, true))
+    EXPECT_EQ(c, 0);
+  omp_set_num_threads(threads);
+#else
+  for (const bool waved : {false, true})
+    for (const std::uint8_t c : concurrent_per_task(kTasks, waved))
+      EXPECT_EQ(c, 0);
+#endif
+  // Each region restores the caller's flag.
+  EXPECT_FALSE(algo::concurrent_execution());
+}
+
+// A throwing task surfaces on the caller in wave mode too; every other task
+// still runs once.
+TEST(TileExecutor, WaveModeRethrowsTheFirstError) {
+  std::vector<std::uint64_t> costs(32, 5000);
+  std::vector<Chunk> chunks;
+  WavePlan plan;
+  for (std::uint32_t k = 0; k < 32; ++k) plan.tiles.push_back({k % 4, k % 4});
+  std::vector<std::atomic<int>> runs(32);
+  EXPECT_THROW(parallel_for_costs(
+                   costs, chunks,
+                   [&](std::size_t k) {
+                     runs[k].fetch_add(1);
+                     if (k == 9) throw FormatError("bad tile");
+                   },
+                   &plan),
+               FormatError);
+  for (auto& r : runs) EXPECT_EQ(r.load(), 1);
 }
 
 }  // namespace
